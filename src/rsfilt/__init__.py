@@ -41,9 +41,11 @@ from .volterra import (
     sufficient_condition_positive_mu,
 )
 from .filtering import (
+    AffineFilter,
     FilterRun,
     ar1_filter,
     filter_correlated,
+    leg_affine,
     leg_filter,
     ma1_filter,
     optimal_risk,
@@ -62,7 +64,6 @@ from .cameron_martin import (
     martingale_expectation_check,
 )
 from .oracle import (
-    AffineFilter,
     AugmentedSystem,
     BackwardRiccati,
     JointGaussian,

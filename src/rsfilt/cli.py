@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -94,11 +93,6 @@ def _emit(args, payload_rows=None, columns=None, payload_json=None):
         sys.stdout.write(text)
 
 
-def _info(args, message):
-    if not args.quiet:
-        print(message, file=sys.stderr)
-
-
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     model, risk = _resolve(cfg, args)
@@ -127,10 +121,7 @@ def _cmd_filter(args) -> int:
         doc = run.to_dict(Y)
         if seed is not None:
             doc["seed"] = seed
-        doc["affine"] = oracle.affine_from_filter(
-            lambda y: filtering.leg_filter(model, risk, y, solution=solution).h_bar,
-            model.horizon,
-        ).to_dict()
+        doc["affine"] = filtering.leg_affine(model, risk, solution=solution).to_dict()
         _emit(args, payload_json=doc)
     return 0
 
@@ -247,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
         p.add_argument("--paths", type=int, help="path-count override")
         p.add_argument("--mu", type=float, help="risk parameter override")
-        p.add_argument("--quiet", action="store_true")
 
     for name, fn in (
         ("validate", _cmd_validate),
@@ -272,16 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    threads = os.environ.get("RSFILT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"config error at RSFILT_THREADS: expected a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 1
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -87,54 +87,89 @@ def _scalar_solution(model, risk, solution) -> VolterraSolution:
     return solution.require_feasible()
 
 
+@dataclass(frozen=True)
+class AffineFilter:
+    """Causal affine filter h_t = intercept_t + sum_{l<=t} gains[t, l] Y_l."""
+
+    intercept: np.ndarray
+    gains: np.ndarray
+
+    def apply(self, Y):
+        Y = np.asarray(Y, dtype=float)
+        return self.intercept + Y @ self.gains.T
+
+    def to_dict(self):
+        return {"intercept": self.intercept.tolist(), "gains": self.gains.tolist()}
+
+
+def _lower_solve(gbar, w, d, R, B):
+    """Forward substitution for X_t = (R_t + sum_{l<t} gbar(t,l) (B_l - w_l X_l)) / d_t.
+
+    This is the lower-triangular system (diag(d) + Gs diag(w)) X = R + Gs B,
+    Gs the strict lower triangle of gbar. Rows of gbar are read one at a time,
+    so no (T, T) matrix is formed. R and B are (T,) or (T, k).
+    """
+    X = np.array(R, dtype=float, order="C")
+    E = np.array(B, dtype=float, order="C")  # rows l < t hold B_l - w_l X_l
+    for t in range(len(d)):
+        X[t] = (X[t] + gbar[t, :t] @ E[:t]) / d[t]
+        E[t] -= w[t] * X[t]
+    return X
+
+
+def _solve_paths(gbar, w, d, R, B):
+    """``_lower_solve`` for R and B with the horizon on the last axis and paths on leading axes."""
+    shape = np.broadcast_shapes(np.shape(R), np.shape(B))
+    T = len(d)
+
+    def columns(a):
+        return np.broadcast_to(a, shape).reshape(-1, T).T
+
+    return _lower_solve(gbar, w, d, columns(R), columns(B)).T.reshape(shape)
+
+
+def _risk_value(mu, S, A, g) -> float:
+    log_prod = -0.5 * (np.log1p(S * g) - np.log1p(A**2 * g)).sum()
+    return mu * float(np.exp(log_prod))
+
+
 def optimal_risk(solution: VolterraSolution, risk: RiskSpec, A) -> float:
     """Closed-form optimal value mu * prod_t [(1+S_t g_t)/(1+A_t^2 g_t)]^(-1/2)."""
     if risk.mu == 0.0:
         raise DomainError("the exponential criterion degenerates at mu = 0; no risk value is defined")
     solution.require_feasible()
-    A = np.asarray(A, dtype=float)
-    g = solution.diag
-    log_prod = -0.5 * (np.log1p(solution.S * g) - np.log1p(A**2 * g)).sum()
-    return risk.mu * float(np.exp(log_prod))
+    return _risk_value(risk.mu, solution.S, np.asarray(A, dtype=float), solution.diag)
 
 
-def _hbar_recursion(gam, A, m, Y):
-    """Forward recursion for the optimal estimate; Y may be batched."""
-    T = gam.shape[0]
-    h = np.zeros(Y.shape)
-    diag = np.diagonal(gam)
-    for t in range(T):
-        acc = m[t]
-        if t > 0:
-            resid = Y[..., :t] - A[:t] * h[..., :t]
-            acc = acc + resid @ (A[:t] * gam[t, :t])
-        h[..., t] = (acc + A[t] * diag[t] * Y[..., t]) / (1.0 + A[t] ** 2 * diag[t])
-    return h
+def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution | None = None) -> AffineFilter:
+    """The optimal filter as its causal affine map h = c + F Y.
+
+    With G = tril(gbar) the filter solves (I + G diag(A^2)) h = m + G diag(A) Y,
+    so every column of [c | F] comes from one forward substitution on that
+    system with right-hand side [m | G diag(A)].
+    """
+    model._require_scalar()
+    sol = _scalar_solution(model, risk, solution)
+    A, g = model.gains1, sol.diag
+    R = np.column_stack([model.mean1, np.diag(A * g)])
+    B = np.column_stack([np.zeros(model.horizon), np.diag(A)])
+    cF = _lower_solve(sol.gamma_bar, A**2, 1.0 + A**2 * g, R, B)
+    return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
 
 
 def leg_filter(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSolution | None = None) -> FilterRun:
     """Optimal filter for the exponential criterion on a scalar model.
 
-    Pass a precomputed feasible ``solution`` to amortize the covariance
-    recursion across many paths.
+    Solves the system of ``leg_affine`` for the given paths. Pass a
+    precomputed feasible ``solution`` to amortize the covariance recursion
+    across many paths.
     """
     model._require_scalar()
     sol = _scalar_solution(model, risk, solution)
     Y = _check_horizon(Y, model.horizon)
-    A, m = model.gains1, model.mean1
-    h = _hbar_recursion(sol.gamma_bar, A, m, Y)
-    Z = z_h(model, risk, Y, h, solution=sol)
-    g = sol.diag
-    gamma_tilde = g / (1.0 + A**2 * g)
-    risk_value = optimal_risk(sol, risk, A) if risk.mu != 0.0 else None
-    return FilterRun(
-        h_bar=h,
-        Z_h=Z,
-        Z_tilde=h,  # the optimum is the fixed point h = Z~
-        gamma_tilde=np.broadcast_to(gamma_tilde, h.shape).copy(),
-        gamma_bar_diag=np.broadcast_to(g, h.shape).copy(),
-        risk=risk_value,
-    )
+    A, g = model.gains1, sol.diag
+    h = _solve_paths(sol.gamma_bar, A**2, 1.0 + A**2 * g, model.mean1 + A * g * Y, A * Y)
+    return _filter_run(h, A, g, sol.S, risk.mu, Y)
 
 
 def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None) -> np.ndarray:
@@ -142,7 +177,8 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
 
     Z_t = m_t - sum_{l<t} g(t,l) mu Q_l / (1+S_l g_l) (h_l - Z_l)
         + sum_{l<t} g(t,l) A_l / (1+S_l g_l) (Y_l - A_l Z_l)
-    for the realized estimate sequence ``h``.
+    for the realized estimate sequence ``h``, solved as one unit
+    lower-triangular system in Z.
     """
     model._require_scalar()
     sol = _scalar_solution(model, risk, solution)
@@ -150,30 +186,19 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
     Y = _check_horizon(Y, T)
     h = _check_horizon(h, T)
     A, m = model.gains1, model.mean1
-    Q = risk.q_vector()
-    g = sol.diag
-    denom = 1.0 + sol.S * g
-    wq = risk.mu * Q / denom
+    denom = 1.0 + sol.S * sol.diag
+    wq = risk.mu * risk.q_vector() / denom
     wa = A / denom
-    Z = np.zeros(np.broadcast_shapes(Y.shape, h.shape))
-    for t in range(T):
-        acc = np.asarray(m[t], dtype=float)
-        if t > 0:
-            acc = (
-                m[t]
-                - (h[..., :t] - Z[..., :t]) @ (sol.gamma_bar[t, :t] * wq[:t])
-                + (Y[..., :t] - A[:t] * Z[..., :t]) @ (sol.gamma_bar[t, :t] * wa[:t])
-            )
-        Z[..., t] = acc
-    return Z
+    return _solve_paths(sol.gamma_bar, A * wa - wq, np.ones(T), m, wa * Y - wq * h)
 
 
 def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None):
     """Filtered variant of the centering sequence plus its variance sequence.
 
-    Computes the direct recursion and the algebraic map from ``z_h`` and
-    checks that they agree; persistent disagreement signals an indexing bug
-    in the covariance table, not bad data.
+    Solves the direct recursion (its l = t term is implicit) and also maps
+    ``z_h`` algebraically, and checks that the two agree; persistent
+    disagreement signals an indexing bug in the covariance table, not bad
+    data.
     """
     model._require_scalar()
     sol = _scalar_solution(model, risk, solution)
@@ -181,22 +206,11 @@ def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSoluti
     Y = _check_horizon(Y, T)
     h = _check_horizon(h, T)
     A, m = model.gains1, model.mean1
-    Q = risk.q_vector()
     g = sol.diag
     gamma_tilde = g / (1.0 + A**2 * g)
 
-    wq = risk.mu * Q / (1.0 + sol.S * g)
-    Zt = np.zeros(np.broadcast_shapes(Y.shape, h.shape))
-    for t in range(T):
-        acc = np.asarray(m[t], dtype=float)
-        if t > 0:
-            acc = (
-                m[t]
-                - (h[..., :t] - Zt[..., :t]) @ (sol.gamma_bar[t, :t] * wq[:t])
-                + (Y[..., :t] - A[:t] * Zt[..., :t]) @ (sol.gamma_bar[t, :t] * A[:t])
-            )
-        # the l = t term is implicit; solved for Z~_t in closed form
-        Zt[..., t] = (acc + g[t] * A[t] * Y[..., t]) / (1.0 + A[t] ** 2 * g[t])
+    wq = risk.mu * risk.q_vector() / (1.0 + sol.S * g)
+    Zt = _solve_paths(sol.gamma_bar, A**2 - wq, 1.0 + A**2 * g, m + A * g * Y, A * Y - wq * h)
 
     Z = z_h(model, risk, Y, h, solution=sol)
     Zt_alg = (Z + A * g * Y) / (1.0 + A**2 * g)
@@ -234,7 +248,7 @@ def ar1_filter(a, D, x0, A, Q, mu, Y) -> FilterRun:
         c = 1.0 + A[t] ** 2 * g[t]
         h[..., t] = (a[t] * prev + A[t] * g[t] * Y[..., t]) / c
         prev = h[..., t]
-    return _specialized_run(h, A, g, Q, mu, Y)
+    return _filter_run(h, A, g, A**2 - mu * Q, mu, Y)
 
 
 def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
@@ -252,24 +266,19 @@ def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
         if t > 0:
             lag = lam * A[t - 1] * (Y[..., t - 1] - A[t - 1] * h[..., t - 1])
         h[..., t] = (lag + A[t] * g[t] * Y[..., t]) / c
-    return _specialized_run(h, A, g, Q, mu, Y)
+    return _filter_run(h, A, g, A**2 - mu * Q, mu, Y)
 
 
-def _specialized_run(h, A, g, Q, mu, Y) -> FilterRun:
-    S = A**2 - mu * Q
+def _filter_run(h, A, g, S, mu, Y) -> FilterRun:
+    """FilterRun of an optimal estimate h; at the optimum Z~ = h, so Z_h follows algebraically."""
     gamma_tilde = g / (1.0 + A**2 * g)
-    Z = h * (1.0 + A**2 * g) - A * g * Y
-    risk_value = None
-    if mu != 0.0:
-        log_prod = -0.5 * (np.log1p(S * g) - np.log1p(A**2 * g)).sum()
-        risk_value = mu * float(np.exp(log_prod))
     return FilterRun(
         h_bar=h,
-        Z_h=Z,
+        Z_h=h * (1.0 + A**2 * g) - A * g * Y,
         Z_tilde=h,
         gamma_tilde=np.broadcast_to(gamma_tilde, h.shape).copy(),
         gamma_bar_diag=np.broadcast_to(g, h.shape).copy(),
-        risk=risk_value,
+        risk=_risk_value(mu, S, A, g) if mu != 0.0 else None,
     )
 
 

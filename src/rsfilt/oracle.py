@@ -21,7 +21,7 @@ from .errors import (
     SingularConditioning,
     TransformDiverges,
 )
-from .filtering import leg_filter, risk_neutral_filter
+from .filtering import AffineFilter, leg_filter, risk_neutral_filter
 from .model import GaussianModel, RiskSpec, build_ar1, check_psd
 from .volterra import solve_volterra
 
@@ -330,21 +330,6 @@ def conditional_exp_quadratic(joint: JointGaussian, Y_values, risk: RiskSpec, h)
 
 
 # --- brute-force affine-filter optimization ----------------------------------
-
-@dataclass(frozen=True)
-class AffineFilter:
-    """Causal affine filter h_t = intercept_t + sum_{l<=t} gains[t, l] Y_l."""
-
-    intercept: np.ndarray
-    gains: np.ndarray
-
-    def apply(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        return self.intercept + Y @ self.gains.T
-
-    def to_dict(self):
-        return {"intercept": self.intercept.tolist(), "gains": self.gains.tolist()}
-
 
 def affine_from_filter(apply_fn, T: int) -> AffineFilter:
     """Extract affine coefficients by evaluating a filter on basis paths."""

@@ -1,9 +1,10 @@
 """Monte Carlo estimation of filter risks.
 
-Paths are generated in batches from a counter-based generator, the chosen
-filter is applied vectorized over the batch, and per-batch partial sums are
-combined with ``math.fsum`` so results are reproducible independent of the
-batching. Filter comparisons reuse the same paths (common random numbers).
+Every filter is resolved to its causal affine map once; paths are generated
+in batches from a counter-based generator, each filter is applied to a batch
+as one matrix product, and per-batch partial sums are combined with
+``math.fsum`` so results are reproducible independent of the batching.
+Filter comparisons reuse the same paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OverflowDominated
-from .filtering import leg_filter, risk_neutral_filter
+from .filtering import AffineFilter, leg_affine, risk_neutral_filter
 from .model import GaussianModel, RiskSpec, _joint_factor, model_from_config, risk_from_config
-from .oracle import AffineFilter
-from .volterra import solve_volterra
+from .oracle import affine_from_filter
 
 EXP_CAP = 700.0
 OVERFLOW_FRACTION = 1e-3
@@ -95,89 +95,22 @@ class RiskEstimate:
         }
 
 
-def _apply_filter(config: ExperimentConfig, solution, Yb: np.ndarray) -> np.ndarray:
-    if config.filter_kind == "leg":
-        return leg_filter(config.model, config.risk, Yb, solution=solution).h_bar
+def _resolve_filter(config: ExperimentConfig) -> AffineFilter:
+    if config.filter_kind == "custom":
+        return config.custom
+    model, risk = config.model, config.risk
     if config.filter_kind == "risk_neutral":
-        return risk_neutral_filter(config.model, Yb)
-    return config.custom.apply(Yb)
-
-
-def _criterion_exponents(config: ExperimentConfig, Xb, hb) -> np.ndarray:
-    Q = config.risk.q_vector()
-    err2 = (Xb - hb) ** 2
-    return 0.5 * config.risk.mu * err2 @ Q
+        if model.cross_cov is not None:  # correlated noise: probe the general (affine) filter
+            return affine_from_filter(lambda y: risk_neutral_filter(model, y), model.horizon)
+        risk = RiskSpec(mu=0.0, Q=np.zeros(model.horizon))
+    return leg_affine(model, risk)
 
 
 def _batches(n_paths: int, batch_size: int):
     start = 0
     while start < n_paths:
-        yield start, min(batch_size, n_paths - start)
+        yield min(batch_size, n_paths - start)
         start += batch_size
-
-
-def estimate_risk(config: ExperimentConfig) -> RiskEstimate:
-    """Monte Carlo estimate of the configured criterion.
-
-    For mu > 0 the per-path exponents are accumulated in log space and paths
-    over the exponent cap are counted; more than 0.1% of them aborts the
-    estimate. The estimate is deterministic given the seed.
-    """
-    model = config.model
-    model._require_scalar()
-    risk = config.risk
-    solution = None
-    if config.filter_kind == "leg":
-        solution = solve_volterra(model, risk).require_feasible()
-
-    ss = np.random.SeedSequence(config.seed)
-    batch_seeds = ss.spawn(sum(1 for _ in _batches(config.n_paths, config.batch_size)))
-
-    sums, sq_sums = [], []
-    log_parts, log_parts_sq = [], []
-    n_overflow = 0
-    for (start, size), bseed in zip(_batches(config.n_paths, config.batch_size), batch_seeds):
-        rng = np.random.Generator(np.random.Philox(bseed))
-        Xb, Yb = _sample_batch(model, rng, size)
-        hb = _apply_filter(config, solution, Yb)
-        if config.criterion == "mean_square":
-            vals = (Xb - hb) ** 2 @ risk.q_vector()
-            sums.append(math.fsum(vals))
-            sq_sums.append(math.fsum(vals * vals))
-            continue
-        expo = _criterion_exponents(config, Xb, hb)
-        if risk.mu > 0:
-            n_overflow += int(np.count_nonzero(expo > EXP_CAP))
-            log_parts.append(_logsumexp(expo))
-            log_parts_sq.append(_logsumexp(2.0 * expo))
-        else:
-            vals = risk.mu * np.exp(expo)
-            sums.append(math.fsum(vals))
-            sq_sums.append(math.fsum(vals * vals))
-
-    n = config.n_paths
-    if config.criterion == "exponential" and risk.mu > 0:
-        if n_overflow > OVERFLOW_FRACTION * n:
-            raise OverflowDominated(
-                f"{n_overflow} of {n} paths exceeded the exponent cap {EXP_CAP:.0f}"
-            )
-        log_total = _logsumexp(np.array(log_parts))
-        log_total_sq = _logsumexp(np.array(log_parts_sq))
-        mean = risk.mu * math.exp(log_total - math.log(n))
-        second = math.exp(log_total_sq - math.log(n)) * risk.mu**2
-        var = max(second - mean * mean, 0.0)
-        stderr = math.sqrt(var / n)
-        return RiskEstimate(mean=mean, stderr=stderr, n_paths=n,
-                            criterion=config.criterion, n_overflow=n_overflow,
-                            batch_sums=tuple(log_parts))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / n) if n > 1 else 0.0
-    return RiskEstimate(mean=mean, stderr=stderr, n_paths=n,
-                        criterion=config.criterion, n_overflow=n_overflow,
-                        batch_sums=tuple(sums))
 
 
 def _sample_batch(model: GaussianModel, rng, size: int):
@@ -191,14 +124,96 @@ def _sample_batch(model: GaussianModel, rng, size: int):
     return X, Y
 
 
-def _logsumexp(a) -> float:
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    hi = float(np.max(a))
-    if not math.isfinite(hi):
-        return hi
-    return hi + math.log(float(np.sum(np.exp(a - hi))))
+def _times_exp(x: float, shift: float) -> float:
+    """x * exp(shift), formed in log space so that exp(shift) alone cannot overflow; exact at shift 0."""
+    if x == 0.0 or shift == 0.0:
+        return x
+    try:
+        return math.copysign(math.exp(shift + math.log(abs(x))), x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _finish(parts, n: int, what: str):
+    """Mean and standard error from per-batch (shift, sum u, sum u^2), value = exp(shift) u."""
+    top = max(shift for shift, _, _ in parts)
+    m1 = math.fsum(math.exp(shift - top) * s1 for shift, s1, _ in parts) / n
+    m2 = math.fsum(math.exp(2.0 * (shift - top)) * s2 for shift, _, s2 in parts) / n
+    mean = _times_exp(m1, top)
+    stderr = _times_exp(math.sqrt(max(m2 - m1 * m1, 0.0) / n), top) if n > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise OverflowDominated(f"the {what} over {n} paths is not finite in double precision")
+    return mean, stderr
+
+
+def _monte_carlo(configs):
+    """One pass over shared paths for one or two filters.
+
+    Each path value is held as exp(shift_b) * u with one shift per batch and
+    filter: zero for the mean-square criterion and for mu <= 0, the batch's
+    largest exponent for mu > 0. Returns one RiskEstimate per config and, for
+    two configs, the mean and standard error of the paired difference.
+    """
+    first = configs[0]
+    model, risk, n = first.model, first.risk, first.n_paths
+    model._require_scalar()
+    filters = [_resolve_filter(c) for c in configs]
+    Q = risk.q_vector()
+    exponential = first.criterion == "exponential"
+    log_space = exponential and risk.mu > 0
+
+    sizes = list(_batches(n, first.batch_size))
+    batch_seeds = np.random.SeedSequence(first.seed).spawn(len(sizes))
+    parts = [[] for _ in filters]
+    diff_parts = []
+    n_overflow = [0] * len(filters)
+    for size, bseed in zip(sizes, batch_seeds):
+        Xb, Yb = _sample_batch(model, np.random.Generator(np.random.Philox(bseed)), size)
+        scaled = []
+        for i, filt in enumerate(filters):
+            u = (Xb - filt.apply(Yb)) ** 2 @ Q
+            shift = 0.0
+            if exponential:
+                expo = 0.5 * risk.mu * u
+                if log_space:
+                    n_overflow[i] += int(np.count_nonzero(expo > EXP_CAP))
+                    shift = float(np.max(expo))
+                u = risk.mu * np.exp(expo - shift)
+            parts[i].append((shift, math.fsum(u), math.fsum(u * u)))
+            scaled.append((u, shift))
+        if len(filters) == 2:
+            (ua, sa), (ub, sb) = scaled
+            top = max(sa, sb)
+            d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
+            diff_parts.append((top, math.fsum(d), math.fsum(d * d)))
+
+    if max(n_overflow) > OVERFLOW_FRACTION * n:
+        raise OverflowDominated(
+            f"{max(n_overflow)} of {n} path exponents exceeded the exponent cap {EXP_CAP:.0f}"
+        )
+    estimates = []
+    for config, filt_parts, capped in zip(configs, parts, n_overflow):
+        mean, stderr = _finish(filt_parts, n, "risk estimate")
+        if log_space:  # per-batch log sum_paths exp(exponent)
+            batch_sums = tuple(shift + math.log(s1 / risk.mu) for shift, s1, _ in filt_parts)
+        else:
+            batch_sums = tuple(s1 for _, s1, _ in filt_parts)
+        estimates.append(RiskEstimate(mean=mean, stderr=stderr, n_paths=n, criterion=config.criterion,
+                                      n_overflow=capped, batch_sums=batch_sums))
+    diff = _finish(diff_parts, n, "paired difference") if diff_parts else None
+    return estimates, diff
+
+
+def estimate_risk(config: ExperimentConfig) -> RiskEstimate:
+    """Monte Carlo estimate of the configured criterion.
+
+    For mu > 0 the per-path values are accumulated in log space and paths
+    with exponents over the cap are counted; more than 0.1% of them aborts
+    the estimate, and so does a mean or standard error that is not finite.
+    The estimate is deterministic given the seed.
+    """
+    (estimate,), _ = _monte_carlo([config])
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -220,9 +235,16 @@ class ComparisonReport:
 
 
 def compare_filters(config_a: ExperimentConfig, config_b: ExperimentConfig) -> ComparisonReport:
-    """Common-random-number comparison; both configs must share model, risk and seed."""
-    if config_a.seed != config_b.seed or config_a.n_paths != config_b.n_paths:
-        raise ConfigError("paired comparison requires a shared seed and path count")
+    """Common-random-number comparison; both configs must share model, risk and paths.
+
+    Each side's estimate equals ``estimate_risk`` of its config, and the
+    comparison aborts if either side would; it also raises
+    ``OverflowDominated`` if the paired difference is not finite.
+    """
+    if (config_a.seed, config_a.n_paths, config_a.batch_size) != (
+        config_b.seed, config_b.n_paths, config_b.batch_size
+    ):
+        raise ConfigError("paired comparison requires a shared seed, path count and batch size")
     if config_a.model is not config_b.model and not (
         np.array_equal(config_a.model.mean, config_b.model.mean)
         and np.array_equal(config_a.model.cov, config_b.model.cov)
@@ -234,58 +256,5 @@ def compare_filters(config_a: ExperimentConfig, config_b: ExperimentConfig) -> C
     ):
         raise ConfigError("paired comparison requires a shared criterion (mu, Q)")
 
-    model = config_a.model
-    model._require_scalar()
-    sol_a = solve_volterra(model, config_a.risk).require_feasible() if config_a.filter_kind == "leg" else None
-    sol_b = solve_volterra(model, config_b.risk).require_feasible() if config_b.filter_kind == "leg" else None
-
-    ss = np.random.SeedSequence(config_a.seed)
-    batch_seeds = ss.spawn(sum(1 for _ in _batches(config_a.n_paths, config_a.batch_size)))
-
-    d_sums, d_sq_sums = [], []
-    a_sums, a_sq, b_sums, b_sq = [], [], [], []
-    n_overflow = 0
-    for (start, size), bseed in zip(_batches(config_a.n_paths, config_a.batch_size), batch_seeds):
-        rng = np.random.Generator(np.random.Philox(bseed))
-        Xb, Yb = _sample_batch(model, rng, size)
-        va, oa = _path_values(config_a, sol_a, Xb, Yb)
-        vb, ob = _path_values(config_b, sol_b, Xb, Yb)
-        n_overflow += oa + ob
-        d = va - vb
-        d_sums.append(math.fsum(d))
-        d_sq_sums.append(math.fsum(d * d))
-        a_sums.append(math.fsum(va))
-        a_sq.append(math.fsum(va * va))
-        b_sums.append(math.fsum(vb))
-        b_sq.append(math.fsum(vb * vb))
-
-    n = config_a.n_paths
-    if n_overflow > OVERFLOW_FRACTION * n:
-        raise OverflowDominated(
-            f"{n_overflow} capped exponents over {n} paired paths; the comparison is unreliable"
-        )
-
-    def finish(sums, sqs):
-        mean = math.fsum(sums) / n
-        var = max(math.fsum(sqs) / n - mean * mean, 0.0)
-        return mean, math.sqrt(var / n) if n > 1 else 0.0
-
-    dm, ds = finish(d_sums, d_sq_sums)
-    am, asd = finish(a_sums, a_sq)
-    bm, bsd = finish(b_sums, b_sq)
-    ea = RiskEstimate(mean=am, stderr=asd, n_paths=n, criterion=config_a.criterion, batch_sums=tuple(a_sums))
-    eb = RiskEstimate(mean=bm, stderr=bsd, n_paths=n, criterion=config_b.criterion, batch_sums=tuple(b_sums))
+    (ea, eb), (dm, ds) = _monte_carlo([config_a, config_b])
     return ComparisonReport(diff_mean=dm, diff_stderr=ds, estimate_a=ea, estimate_b=eb)
-
-
-def _path_values(config: ExperimentConfig, solution, Xb, Yb):
-    """Per-path criterion values and the count of capped exponents."""
-    hb = _apply_filter(config, solution, Yb)
-    if config.criterion == "mean_square":
-        return (Xb - hb) ** 2 @ config.risk.q_vector(), 0
-    expo = _criterion_exponents(config, Xb, hb)
-    capped = 0
-    if config.risk.mu > 0:
-        capped = int(np.count_nonzero(expo > EXP_CAP))
-        expo = np.minimum(expo, EXP_CAP)
-    return config.risk.mu * np.exp(expo), capped

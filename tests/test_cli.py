@@ -86,7 +86,7 @@ def test_round_trip_filter_json_as_custom_spec(config_path, tmp_path, capsys):
     custom_path.write_text(json.dumps(sim_cfg))
     assert run(["simulate", "--config", str(custom_path)]) == 0
     custom_est = json.loads(capsys.readouterr().out)
-    assert_allclose(leg_est["mean"], custom_est["mean"], rtol=1e-12)
+    assert leg_est == custom_est
 
 
 def test_risk_verb(config_path, capsys):
@@ -135,13 +135,6 @@ def test_simulate_batch_csv(config_path, tmp_path, capsys):
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["batch", "partial_sum"]
     assert len(rows) > 1
-
-
-def test_threads_env_validation(config_path, monkeypatch, capsys):
-    monkeypatch.setenv("RSFILT_THREADS", "zero")
-    assert run(["validate", "--config", config_path]) == 1
-    monkeypatch.setenv("RSFILT_THREADS", "2")
-    assert run(["validate", "--config", config_path]) == 0
 
 
 def test_filter_with_supplied_observations(tmp_path, capsys):

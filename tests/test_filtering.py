@@ -76,6 +76,23 @@ class TestLegFilter:
         h2 = rf.leg_filter(model, risk, 2 * Y, solution=sol).h_bar
         assert_allclose(h2 - c, 2.0 * (h1 - c), atol=1e-11)
 
+    def test_affine_map_matches_probed_coefficients(self, rng):
+        models = [random_scalar_model(rng, 5) for _ in range(3)]
+        models.append(rf.build_ar1(0.8, 1.0, 0.2, [1.0, 0.0, 1.3, 0.0], 4))  # zero-gain steps
+        for model in models:
+            T = model.horizon
+            for mu in (-1.0, 0.0, 0.05):
+                risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.3, 1.0, T))
+                sol = rf.solve_volterra(model, risk)
+                if not sol.feasible:
+                    continue
+                fit = rf.leg_affine(model, risk)
+                ref = rf.oracle.affine_from_filter(
+                    lambda y: rf.leg_filter(model, risk, y, solution=sol).h_bar, T
+                )
+                assert_allclose(fit.intercept, ref.intercept, rtol=0, atol=1e-13)
+                assert_allclose(fit.gains, ref.gains, rtol=0, atol=1e-13)
+
     def test_batched_paths(self, rng):
         model = random_scalar_model(rng, 3)
         risk = rf.RiskSpec(mu=-1.0, Q=np.ones(3))

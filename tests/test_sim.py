@@ -75,6 +75,34 @@ class TestEstimateRisk:
         with pytest.raises(OverflowDominated):
             rf.estimate_risk(config)
 
+    def test_positive_mu_large_exponents_below_cap(self):
+        # exponents near 500 are under the cap but their squares overflow
+        # linear space; both moments must still come out finite
+        T = 5
+        model = rf.build_ar1(0.5, 1.0, 0.0, 1.0, T)
+        risk = rf.RiskSpec(mu=0.1, Q=np.ones(T))
+        filt = rf.AffineFilter(intercept=np.full(T, 45.0), gains=np.zeros((T, T)))
+        custom = rf.ExperimentConfig(model=model, risk=risk, filter_kind="custom",
+                                     custom=filt, n_paths=4096, seed=3)
+        leg = rf.ExperimentConfig(model=model, risk=risk, filter_kind="leg", n_paths=4096, seed=3)
+        est = rf.estimate_risk(custom)
+        assert est.n_overflow == 0
+        assert np.isfinite(est.mean) and np.isfinite(est.stderr) and est.stderr > 0
+        rep = rf.compare_filters(custom, leg)
+        assert np.isfinite(rep.diff_mean) and np.isfinite(rep.diff_stderr)
+        assert rep.diff_mean > 0
+
+    def test_non_finite_mean_raises(self):
+        # a handful of paths over the cap (under 0.1%) still overflow the mean
+        T = 1
+        model = rf.build_general([0.0], [[1.0]], [0.0])
+        risk = rf.RiskSpec(mu=114.0, Q=np.ones(T))
+        filt = rf.AffineFilter(intercept=np.zeros(T), gains=np.zeros((T, T)))
+        config = rf.ExperimentConfig(model=model, risk=risk, filter_kind="custom",
+                                     custom=filt, n_paths=10**4, seed=8)
+        with pytest.raises(OverflowDominated):
+            rf.estimate_risk(config)
+
     def test_no_nan_outputs(self):
         est = rf.estimate_risk(ar1_config(n_paths=2000))
         assert np.isfinite(est.mean)
@@ -111,6 +139,36 @@ class TestCompareFilters:
         rep = rf.compare_filters(a, b)
         assert rep.diff_mean < 0
         assert rep.diff_mean / rep.diff_stderr < -4
+
+    @pytest.mark.parametrize("kind, mu", [("leg", -1.0), ("leg", 0.2), ("risk_neutral", 0.2)])
+    def test_each_side_equals_estimate_risk(self, kind, mu):
+        config = ar1_config(mu=mu, kind=kind, seed=17, n_paths=3000, batch_size=1024)
+        other = ar1_config(mu=mu, kind="risk_neutral" if kind == "leg" else "leg",
+                           seed=17, n_paths=3000, batch_size=1024)
+        rep = rf.compare_filters(config, other)
+        assert rep.estimate_a == rf.estimate_risk(config)
+        assert rep.estimate_b == rf.estimate_risk(other)
+
+    def test_shared_batch_size_required(self):
+        with pytest.raises(ConfigError):
+            rf.compare_filters(ar1_config(seed=1, batch_size=512), ar1_config(seed=1))
+
+    def test_risk_neutral_with_correlated_noise(self):
+        T = 3
+        K = np.tril([[1.3, 0.0, 0.0], [0.6, 1.1, 0.0], [0.3, 0.5, 1.0]])
+        C = np.array([[0.4, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, 0.0, 0.2]])
+        model = rf.build_vector_model([0.2, -0.1, 0.0], K, [1.0, 0.8, 1.2], C)
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(T))
+        rn = rf.ExperimentConfig(model=model, risk=risk, filter_kind="risk_neutral",
+                                 n_paths=20000, seed=3, batch_size=4096)
+        est = rf.estimate_risk(rn)
+        risk0 = rf.RiskSpec(mu=0.0, Q=np.zeros(T))
+        probe = rf.oracle.affine_from_filter(
+            lambda y: rf.filter_correlated(model, risk0, y).h_bar, T)
+        assert abs(est.mean - rf.oracle.exact_affine_risk(model, risk, probe)) <= 4 * est.stderr
+        custom = rf.ExperimentConfig(model=model, risk=risk, filter_kind="custom", custom=probe,
+                                     n_paths=20000, seed=3, batch_size=4096)
+        assert rf.compare_filters(rn, custom).diff_mean == 0.0
 
     def test_shared_seed_required(self):
         with pytest.raises(ConfigError):
