@@ -24,7 +24,7 @@ from .errors import (
     SingularInnovationMatrix,
     TransformDiverges,
 )
-from .model import model_from_config, risk_from_config, sample_paths
+from .model import model_from_config, risk_from_config, sample_paths, seed_from_config
 from .volterra import solve_volterra
 
 FILTER_CSV_COLUMNS = ("t", "Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde")
@@ -47,22 +47,23 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(cfg: dict, args):
+    """Model, risk and seed of a config with the --mu and --seed overrides applied."""
     model = model_from_config(cfg.get("model", {}))
     risk_cfg = dict(cfg.get("risk", {"mu": 0.0, "Q": 0.0}))
     if args.mu is not None:
         risk_cfg["mu"] = args.mu
     risk = risk_from_config(risk_cfg, model.horizon)
-    return model, risk
+    seed = seed_from_config(args.seed if args.seed is not None else cfg.get("seed", 0))
+    return model, risk, seed
 
 
-def _observations(cfg: dict, args, model):
+def _observations(cfg: dict, model, seed):
     """Realized path from the config, or one sampled from the logged seed."""
     if "Y" in cfg:
         Y = np.asarray(cfg["Y"], dtype=float)
         if Y.shape != (model.horizon,):
             raise ConfigError(f"Y must have length {model.horizon}", field="Y")
         return Y, None
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     _, Yb = sample_paths(model, seed, 1)
     return Yb[0, :, 0], seed
 
@@ -95,7 +96,7 @@ def _emit(args, payload_rows=None, columns=None, payload_json=None):
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    model, risk = _resolve(cfg, args)
+    model, risk, _ = _resolve(cfg, args)
     summary = {
         "horizon": model.horizon,
         "dims": list(model.dims),
@@ -111,8 +112,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_filter(args) -> int:
     cfg = _load_config(args.config)
-    model, risk = _resolve(cfg, args)
-    Y, seed = _observations(cfg, args, model)
+    model, risk, seed = _resolve(cfg, args)
+    Y, seed = _observations(cfg, model, seed)
     solution = solve_volterra(model, risk).require_feasible()
     run = filtering.leg_filter(model, risk, Y, solution=solution)
     if args.format == "csv":
@@ -128,7 +129,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_risk(args) -> int:
     cfg = _load_config(args.config)
-    model, risk = _resolve(cfg, args)
+    model, risk, _ = _resolve(cfg, args)
     solution = solve_volterra(model, risk).require_feasible()
     value = filtering.optimal_risk(solution, risk, model.gains1)
     doc = {
@@ -143,8 +144,8 @@ def _cmd_risk(args) -> int:
 
 def _cmd_cm(args) -> int:
     cfg = _load_config(args.config)
-    model, risk = _resolve(cfg, args)
-    Y, seed = _observations(cfg, args, model)
+    model, risk, seed = _resolve(cfg, args)
+    Y, seed = _observations(cfg, model, seed)
     solution = solve_volterra(model, risk).require_feasible()
     if "h" in cfg:
         h = np.asarray(cfg["h"], dtype=float)

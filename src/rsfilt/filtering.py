@@ -286,8 +286,9 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
     """Optimal filter for vector-valued models, correlated noise allowed.
 
     h_t = m_t + sum_{l<=t} [C(t,l) + g(t,l) A_l'] [I + A_l C(l,l)]^{-1}
-    (Y_l - A_l h_l); the l = t term is solved implicitly. ``Y`` is (T, m)
-    or (T,) for m = 1.
+    (Y_l - A_l h_l); the l = t term is solved implicitly. The gains of step l
+    to every target t >= l come from one solve. ``Y`` is (T, m) or (T,) for
+    m = 1.
     """
     if solution is None:
         if model.cross_cov is None:
@@ -304,26 +305,21 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
 
     gam = solution.gamma_bar
     A = model.gains
-    C = model.cross_cov
+    C = model.cross_cov if model.cross_cov is not None else np.zeros((T, T, n, m))
 
-    def gain(t, l):
-        Ctl = C[t, l] if C is not None else np.zeros((n, m))
-        Cll = C[l, l] if C is not None else np.zeros((n, m))
-        M = np.eye(m) + A[l] @ Cll
+    h = np.zeros((T, n))
+    acc = model.mean.copy()  # row t: m_t plus the innovation terms of the steps l < t done so far
+    for l in range(T):
+        M = np.eye(m) + A[l] @ C[l, l]
         if np.linalg.cond(M) > 1e12:
             raise SingularInnovationMatrix(
                 f"observation gain denominator at step {l + 1} is singular", step=l + 1
             )
-        return np.linalg.solve(M.T, (Ctl + gam[t, l] @ A[l].T).T).T
-
-    h = np.zeros((T, n))
-    for t in range(T):
-        acc = model.mean[t].copy()
-        for l in range(t):
-            acc += gain(t, l) @ (Y[l] - A[l] @ h[l])
-        Gtt = gain(t, t)
-        lhs = np.eye(n) + Gtt @ A[t]
-        h[t] = np.linalg.solve(lhs, acc + Gtt @ Y[t])
+        # Gains [C(t,l) + g(t,l) A_l'] M^{-1} of every target t >= l, from one solve.
+        N = C[l:, l] + gam[l:, l] @ A[l].T
+        G = np.linalg.solve(M.T, N.reshape(-1, m).T).T.reshape(T - l, n, m)
+        h[l] = np.linalg.solve(np.eye(n) + G[0] @ A[l], acc[l] + G[0] @ Y[l])
+        acc[l + 1 :] += G[1:] @ (Y[l] - A[l] @ h[l])
 
     diag = np.stack([gam[t, t] for t in range(T)])
     run = FilterRun(h_bar=h[:, 0] if n == 1 else h, gamma_bar_diag=diag[:, 0, 0] if n == 1 else diag)

@@ -436,6 +436,40 @@ def sample(model: GaussianModel, rng_seed: int, n_paths: int) -> list[Trajectory
 
 # --- JSON configuration -----------------------------------------------------
 
+def _integer(value, field, low, high=None) -> int:
+    """An integer config entry with low <= value < high; integral floats are accepted."""
+    name = field.rsplit(".", 1)[-1]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", field=field)
+    if value < low or (high is not None and value >= high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise ConfigError(f"{name} must be {bounds}, got {value}", field=field)
+    return int(value)
+
+
+def _horizon(cfg: dict) -> int:
+    return _integer(cfg["T"], "model.T", 1)
+
+
+def seed_from_config(value) -> int:
+    """A random seed from a config or flag: an unsigned 64-bit integer."""
+    return _integer(value, "seed", 0, 1 << 64)
+
+
+def _finite(value, field) -> np.ndarray:
+    """A config entry as a float array whose entries are all finite."""
+    name = field.rsplit(".", 1)[-1]
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric: {exc}", field=field) from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite", field=field)
+    return arr
+
+
 def model_from_config(cfg: dict) -> GaussianModel:
     """Build a model from a configuration mapping (see README for the schema)."""
     if not isinstance(cfg, dict):
@@ -445,15 +479,15 @@ def model_from_config(cfg: dict) -> GaussianModel:
         if kind == "general":
             return build_general(cfg["m"], cfg["K"], cfg["A"])
         if kind == "ar1":
-            return build_ar1(cfg["a"], cfg["D"], cfg.get("x0", 0.0), cfg["A"], int(cfg["T"]))
+            return build_ar1(cfg["a"], cfg["D"], cfg.get("x0", 0.0), cfg["A"], _horizon(cfg))
         if kind == "ma1":
-            return build_ma1(cfg["lambda"], cfg["A"], int(cfg["T"]))
+            return build_ma1(cfg["lambda"], cfg["A"], _horizon(cfg))
         if kind == "vector":
             return build_vector_model(cfg["m"], cfg["K"], cfg["A"], cfg.get("K_Xeps"))
         if kind == "ma1_observations":
-            return build_ma1_observations(cfg["lambda"], cfg["alpha"], cfg["beta"], int(cfg["T"]))
+            return build_ma1_observations(cfg["lambda"], cfg["alpha"], cfg["beta"], _horizon(cfg))
         if kind == "ar1_noise":
-            return build_ar1_noise(cfg["a"], cfg["b"], cfg["alpha"], cfg["beta"], int(cfg["T"]))
+            return build_ar1_noise(cfg["a"], cfg["b"], cfg["alpha"], cfg["beta"], _horizon(cfg))
     except KeyError as exc:
         raise ConfigError(f"missing model parameter {exc.args[0]!r}", field=f"model.{exc.args[0]}") from exc
     raise ConfigError(f"unknown model kind {kind!r}", field="model.kind")
@@ -464,11 +498,12 @@ def risk_from_config(cfg: dict, horizon: int) -> RiskSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("risk config must be an object", field="risk")
     try:
-        mu = float(cfg["mu"])
-        Q = cfg["Q"]
+        mu = _finite(cfg["mu"], "risk.mu")
+        Q = _finite(cfg["Q"], "risk.Q")
     except KeyError as exc:
         raise ConfigError(f"missing risk parameter {exc.args[0]!r}", field=f"risk.{exc.args[0]}") from exc
-    Q = np.asarray(Q, dtype=float)
+    if mu.ndim != 0:
+        raise ConfigError(f"mu must be a number, got {cfg['mu']!r}", field="risk.mu")
     if Q.ndim == 0:
         Q = np.full(horizon, float(Q))
     if Q.ndim == 1 and Q.shape[0] != horizon:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, OverflowDominated
 from .filtering import AffineFilter, leg_affine, risk_neutral_filter
-from .model import GaussianModel, RiskSpec, _joint_factor, model_from_config, risk_from_config
+from .model import GaussianModel, RiskSpec, _joint_factor, model_from_config, risk_from_config, seed_from_config
 from .oracle import affine_from_filter
 
 EXP_CAP = 700.0
@@ -69,7 +69,7 @@ class ExperimentConfig:
             filter_kind=kind,
             custom=custom,
             n_paths=int(cfg.get("paths", cfg.get("n_paths", 10000))),
-            seed=int(cfg.get("seed", 0)),
+            seed=seed_from_config(cfg.get("seed", 0)),
             criterion=cfg.get("criterion", "exponential"),
         )
 

@@ -87,7 +87,8 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     """Scalar covariance recursion.
 
     Fills gbar column by column: gbar(t, s) = K(t, s) minus the accumulated
-    corrections gbar(t, l) gbar(s, l) S_l / (1 + S_l gbar_l) over l < s. On the
+    corrections gbar(t, l) gbar(s, l) S_l / (1 + S_l gbar_l) over l < s, which
+    for all t >= s are one matrix-vector product. On the
     first step where gbar_t < -tol or 1 + S_t gbar_t <= tol the solution is
     marked infeasible and the remaining columns are left unfilled.
     """
@@ -106,7 +107,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     w = np.zeros(T)  # S_l / (1 + S_l * gbar_l)
     feasible, violation, clause = True, None, None
     for s in range(T):
-        gam[s:, s] = K[s:, s] - (gam[s:, :s] * gam[s, :s] * w[:s]).sum(axis=1)
+        gam[s:, s] = K[s:, s] - gam[s:, :s] @ (gam[s, :s] * w[:s])
         g = gam[s, s]
         denom = 1.0 + S[s] * g
         if g < -FEAS_TOL:

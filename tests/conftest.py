@@ -13,6 +13,13 @@ def random_scalar_model(rng, T, mean_scale=1.0, cov_scale=0.6):
     return rf.build_general(m, K, A)
 
 
+def fgn_kernel(T, hurst):
+    """Covariance of unit-variance fractional Gaussian noise (non-Markov for hurst != 1/2)."""
+    k = np.arange(T, dtype=float)
+    r = 0.5 * ((k + 1) ** (2 * hurst) - 2 * k ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst))
+    return r[np.abs(np.subtract.outer(np.arange(T), np.arange(T)))]
+
+
 def random_causal_h(rng, Y):
     """A random causal affine rule evaluated on the realized path."""
     T = Y.shape[-1]

@@ -172,3 +172,54 @@ def test_wrong_length_observations_rejected(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert run(["filter", "--config", str(p)]) == 1
     assert "Y" in capsys.readouterr().err
+
+
+def _with(section, **entries):
+    cfg = copy.deepcopy(AR1_CONFIG)
+    cfg[section].update(entries)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, flags, field", [
+    (AR1_CONFIG, ["--mu", "nan"], "risk.mu"),
+    (AR1_CONFIG, ["--mu", "inf"], "risk.mu"),
+    (AR1_CONFIG, ["--mu=-inf"], "risk.mu"),
+    (_with("risk", mu=float("nan")), [], "risk.mu"),
+    (_with("risk", mu=float("inf")), [], "risk.mu"),
+    (_with("risk", mu="x"), [], "risk.mu"),
+    (_with("risk", Q="x"), [], "risk.Q"),
+    (_with("risk", Q=[1.0, float("nan"), 1.0, 1.0]), [], "risk.Q"),
+    (_with("risk", Q=float("inf")), [], "risk.Q"),
+    (_with("model", T=0), [], "model.T"),
+    (_with("model", T=-3), [], "model.T"),
+    (_with("model", T=2.5), [], "model.T"),
+    (_with("model", T="x"), [], "model.T"),
+])
+@pytest.mark.parametrize("verb", ["validate", "risk", "simulate"])
+def test_bad_risk_and_horizon_rejected(cfg, flags, field, verb, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert run([verb, "--config", str(p), "--paths", "100", *flags]) == 1
+    out = capsys.readouterr()
+    assert f"config error at {field}:" in out.err
+    assert "NaN" not in out.out and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("verb", ["filter", "cm", "simulate", "compare"])
+def test_seed_outside_unsigned_64_bit_rejected(seed, where, verb, tmp_path, capsys):
+    cfg = copy.deepcopy(AR1_CONFIG)
+    cfg["filters"] = [{"kind": "leg"}, {"kind": "risk_neutral"}]
+    flags = ["--seed", str(seed)] if where == "flag" else []
+    if where == "config":
+        cfg["seed"] = seed
+    p = tmp_path / "seed.json"
+    p.write_text(json.dumps(cfg))
+    assert run([verb, "--config", str(p), "--paths", "100", *flags]) == 1
+    assert "config error at seed:" in capsys.readouterr().err
+
+
+def test_largest_seed_accepted(config_path, capsys):
+    assert run(["filter", "--config", config_path, "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import rsfilt as rf
 from rsfilt.errors import DomainError, InfeasibleCondition
 
-from conftest import random_causal_h, random_scalar_model
+from conftest import fgn_kernel, random_causal_h, random_scalar_model
 
 
 def oracle_filtered_mean(model, Y):
@@ -341,6 +341,31 @@ class TestCorrelatedFilter:
         )
         assert_allclose(fit.intercept, ref.intercept, atol=1e-6)
         assert_allclose(fit.gains, ref.gains, atol=1e-6)
+
+
+def correlated_model(builder, T, rng):
+    if builder == "vector":
+        c = rng.normal(size=2)
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        K = (fgn_kernel(T, 0.75)[:, :, None, None] * (np.outer(c, c) + 0.1 * np.eye(2))
+             + (0.6**lag)[:, :, None, None] * np.diag([0.5, 0.8]))
+        return rf.build_vector_model(rng.normal(size=(T, 2)) * 0.3, K, rng.uniform(0.5, 1.5, (T, 1, 2)))
+    if builder == "ar1_noise":
+        return rf.build_ar1_noise(rng.uniform(0.5, 0.95, T), 0.6, rng.uniform(0.5, 1.5, T), -0.3, T)
+    return rf.build_ma1_observations(0.7, rng.uniform(0.5, 1.5, T), 0.4, T)
+
+
+@pytest.mark.parametrize("builder", ["vector", "ar1_noise", "ma1_observations"])
+def test_filter_correlated_long_horizon_is_conditional_mean(builder, rng):
+    T = 40
+    model = correlated_model(builder, T, rng)
+    Y = rng.normal(size=(T, 1)) * 1.5
+    h = rf.filter_correlated(model, rf.RiskSpec(mu=0.0, Q=np.zeros(T)), Y).h_bar.reshape(T, model.n)
+    joint = rf.assemble_joint(model)
+    for t in range(1, T + 1):
+        cond = rf.condition(joint, [joint.index(("y", s, 0)) for s in range(1, t + 1)], Y[:t, 0])
+        expect = cond.mean[[cond.index(("x", t, i)) for i in range(model.n)]]
+        assert_allclose(h[t - 1], expect, rtol=1e-10, atol=1e-10)
 
 
 class TestRiskNeutralFilter:

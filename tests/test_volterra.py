@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 import rsfilt as rf
 from rsfilt.errors import InfeasibleCondition, SingularInnovationMatrix
+from rsfilt.volterra import CLAUSE_DENOM, CLAUSE_DIAG
 
-from conftest import random_scalar_model
+from conftest import fgn_kernel, random_scalar_model
 
 
 def oracle_prediction_table(model, risk, h=None):
@@ -110,6 +111,49 @@ class TestScalarSolver:
         doc = json.loads(json.dumps(sol.to_dict()))
         assert_allclose(np.array(doc["gamma_bar"]), sol.gamma_bar)
         assert doc["feasible"] is True
+
+
+def ldl_pivots(M):
+    """Pivots d of the unpivoted factorization M = L diag(d) L'; M may be indefinite."""
+    A = np.array(M, dtype=float)
+    d = np.empty(len(A))
+    for k in range(len(A)):
+        d[k] = A[k, k]
+        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :]) / d[k]
+    return d
+
+
+class TestLongHorizonScalar:
+    """The scalar table is the Schur-complement table of K + diag(1/S), so
+    gbar_t = d_t - 1/S_t with d the LDL' pivots; S_t < 0 is allowed."""
+
+    T = 300
+
+    def _solve(self, mu):
+        rng = np.random.default_rng(300)
+        K = fgn_kernel(self.T, 0.8)
+        A = rng.uniform(0.5, 1.5, self.T)
+        Q = rng.uniform(0.5, 1.5, self.T)
+        S = A**2 - mu * Q
+        model = rf.build_general(rng.normal(size=self.T), np.tril(K), A)
+        return rf.solve_volterra(model, rf.RiskSpec(mu=mu, Q=Q)), S, ldl_pivots(K + np.diag(1.0 / S)) - 1.0 / S
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.5])
+    def test_diag_matches_ldl_pivots(self, mu):
+        sol, S, g = self._solve(mu)
+        assert sol.feasible
+        if mu > 0:
+            assert np.any(S < 0)
+        assert_allclose(sol.diag, g, rtol=1e-10, atol=1e-10)
+
+    def test_first_violation_matches_ldl_pivots(self):
+        sol, S, g = self._solve(0.8)
+        step = next(s for s in range(self.T) if g[s] < -1e-12 or 1.0 + S[s] * g[s] <= 1e-12)
+        clause = CLAUSE_DIAG if g[step] < -1e-12 else CLAUSE_DENOM
+        assert step > 0
+        assert (sol.first_violation, sol.violated_clause) == (step + 1, clause)
+        assert_allclose(sol.diag[: step + 1], g[: step + 1], rtol=1e-10, atol=1e-10)
+        assert not np.any(sol.gamma_bar[:, step + 1 :])
 
 
 class TestMatrixSolver:
