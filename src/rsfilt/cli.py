@@ -24,7 +24,7 @@ from .errors import (
     SingularInnovationMatrix,
     TransformDiverges,
 )
-from .model import model_from_config, risk_from_config, sample_paths, seed_from_config
+from .model import _finite, model_from_config, risk_from_config, sample_paths, seed_from_config
 from .volterra import solve_volterra
 
 FILTER_CSV_COLUMNS = ("t", "Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde")
@@ -39,19 +39,22 @@ def _load_config(path: str) -> dict:
         raise ConfigError("--config is required for this command", field="config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}", field="config") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object", field="config")
+    return cfg
 
 
 def _resolve(cfg: dict, args):
     """Model, risk and seed of a config with the --mu and --seed overrides applied."""
     model = model_from_config(cfg.get("model", {}))
-    risk_cfg = dict(cfg.get("risk", {"mu": 0.0, "Q": 0.0}))
-    if args.mu is not None:
-        risk_cfg["mu"] = args.mu
+    risk_cfg = cfg.get("risk", {"mu": 0.0, "Q": 0.0})
+    if args.mu is not None and isinstance(risk_cfg, dict):
+        risk_cfg = {**risk_cfg, "mu": args.mu}
     risk = risk_from_config(risk_cfg, model.horizon)
     seed = seed_from_config(args.seed if args.seed is not None else cfg.get("seed", 0))
     return model, risk, seed
@@ -60,7 +63,7 @@ def _resolve(cfg: dict, args):
 def _observations(cfg: dict, model, seed):
     """Realized path from the config, or one sampled from the logged seed."""
     if "Y" in cfg:
-        Y = np.asarray(cfg["Y"], dtype=float)
+        Y = _finite(cfg["Y"], "Y")
         if Y.shape != (model.horizon,):
             raise ConfigError(f"Y must have length {model.horizon}", field="Y")
         return Y, None
@@ -148,7 +151,7 @@ def _cmd_cm(args) -> int:
     Y, seed = _observations(cfg, model, seed)
     solution = solve_volterra(model, risk).require_feasible()
     if "h" in cfg:
-        h = np.asarray(cfg["h"], dtype=float)
+        h = _finite(cfg["h"], "h")
         if h.shape != (model.horizon,):
             raise ConfigError(f"h must have length {model.horizon}", field="h")
     else:
@@ -178,8 +181,9 @@ def _cmd_cm(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    if args.mu is not None:
-        cfg.setdefault("risk", {})["mu"] = args.mu
+    risk_cfg = cfg.get("risk", {})
+    if args.mu is not None and isinstance(risk_cfg, dict):
+        cfg["risk"] = {**risk_cfg, "mu": args.mu}
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.paths is not None:
@@ -206,7 +210,7 @@ def _cmd_compare(args) -> int:
         cfg["paths"] = args.paths
     base = dict(cfg)
     filters = cfg.get("filters")
-    if filters is None or len(filters) != 2:
+    if not isinstance(filters, list) or len(filters) != 2:
         raise ConfigError("compare needs a 'filters' list with exactly two entries", field="filters")
     configs = []
     for f in filters:

@@ -199,7 +199,8 @@ def _validate_model(mean, cov, gains, cross_cov):
         raise DimensionMismatch(f"cov must have shape {(T, T, n, n)}, got {cov.shape}")
     if gains.shape != (T, m, n):
         raise DimensionMismatch(f"gains must have shape {(T, m, n)}, got {gains.shape}")
-    diag_vars = np.array([np.diag(cov[t, t]) for t in range(T)])
+    idx = np.arange(T)
+    diag_vars = np.diagonal(cov[idx, idx], axis1=1, axis2=2)
     if np.any(diag_vars < -PSD_TOL * max(float(diag_vars.max(initial=0.0)), 1.0)):
         raise NotPositiveSemidefinite(
             f"a diagonal block of cov has a negative variance ({float(diag_vars.min()):.3e})",
@@ -210,13 +211,13 @@ def _validate_model(mean, cov, gains, cross_cov):
     if cross_cov is not None:
         if cross_cov.shape != (T, T, n, m):
             raise DimensionMismatch(f"cross_cov must have shape {(T, T, n, m)}, got {cross_cov.shape}")
-        for t in range(T):
-            for s in range(t + 1, T):
-                if np.any(cross_cov[t, s] != 0.0):
-                    raise DimensionMismatch(
-                        "cross_cov must be lower-triangular: noise at step "
-                        f"{s + 1} may not correlate with the signal at earlier step {t + 1}"
-                    )
+        upper = np.any(cross_cov != 0.0, axis=(2, 3)) & (idx[:, None] < idx[None, :])
+        if upper.any():
+            t, s = np.argwhere(upper)[0]  # row-major: the first (t, then s) pair
+            raise DimensionMismatch(
+                "cross_cov must be lower-triangular: noise at step "
+                f"{s + 1} may not correlate with the signal at earlier step {t + 1}"
+            )
         # The (signal, noise) joint must itself be a covariance.
         check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
     return model
@@ -232,6 +233,16 @@ def _joint_signal_noise_cov(model: GaussianModel) -> np.ndarray:
     out[Tn:, :Tn] = C.T
     out[Tn:, Tn:] = np.eye(Tm)
     return out
+
+
+def _lag_products(a):
+    """P[t, s] = prod(a[s+1 : t+1]) for t >= s (1 on the diagonal), zero above it.
+
+    Each column is a running product of a[s+1], a[s+2], ... in that order.
+    """
+    idx = np.arange(a.shape[0])
+    factors = np.where(idx[None, :] > idx[:, None], a[None, :], 1.0)  # row s: a[u] for u > s
+    return np.tril(np.cumprod(factors, axis=1).T)
 
 
 def build_general(m, K, A) -> GaussianModel:
@@ -271,12 +282,8 @@ def build_ar1(a, D, x0, A, T) -> GaussianModel:
     for t in range(T):
         prev = a[t] ** 2 * prev + D[t]
         k[t] = prev
-    K = np.zeros((T, T))
-    for s in range(T):
-        fac = np.concatenate([[1.0], np.cumprod(a[s + 1 :])])
-        K[s:, s] = fac * k[s]
     m = np.cumprod(a) * float(x0)
-    return build_general(m, K, A)
+    return build_general(m, _lag_products(a) * k, A)
 
 
 def build_ma1(lam, A, T) -> GaussianModel:
@@ -314,11 +321,10 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
     if K.shape != (T, T, n, n):
         raise DimensionMismatch(f"K must have shape {(T, T, n, n)}, got {K.shape}")
     # Mirror lower blocks: K[s, t] = K[t, s]' for s < t.
-    Kfull = K.copy()
-    for t in range(T):
-        for s in range(t):
-            Kfull[s, t] = K[t, s].T
-        Kfull[t, t] = (K[t, t] + K[t, t].T) / 2.0
+    idx = np.arange(T)
+    Kt = K.transpose(1, 0, 3, 2)
+    Kfull = np.where((idx[:, None] > idx[None, :])[:, :, None, None], K, Kt)
+    Kfull[idx, idx] = (K[idx, idx] + Kt[idx, idx]) / 2.0
 
     A = np.asarray(A, dtype=float)
     if A.ndim == 1 and n == 1:
@@ -344,17 +350,15 @@ def build_ma1_observations(lam, alpha, beta, T) -> GaussianModel:
     lam = float(lam)
     beta = float(beta)
     alpha = _as_sequence(alpha, T, "alpha")
+    idx, lag = np.arange(T), np.arange(1, T)
     K = np.zeros((T, T, 2, 2))
-    for t in range(T):
-        K[t, t] = np.diag([1.0 + lam**2, 1.0])
-        if t > 0:
-            K[t, t - 1] = np.array([[lam, 0.0], [0.0, 0.0]])
+    K[idx, idx] = np.diag([1.0 + lam**2, 1.0])
+    K[lag, lag - 1, 0, 0] = lam
     A = np.zeros((T, 1, 2))
     A[:, 0, 0] = alpha
     A[:, 0, 1] = beta
     C = np.zeros((T, T, 2, 1))
-    for t in range(1, T):
-        C[t, t - 1, 1, 0] = 1.0  # the lagged-noise state component is eps_{t-1}
+    C[lag, lag - 1, 1, 0] = 1.0  # the lagged-noise state component is eps_{t-1}
     return build_vector_model(np.zeros((T, 2)), K, A, C)
 
 
@@ -380,18 +384,15 @@ def build_ar1_noise(a, b, alpha, beta, T) -> GaussianModel:
     for t in range(1, T + 1):
         v[t] = b**2 * v[t - 1] + 1.0
 
+    lag = np.subtract.outer(np.arange(T), np.arange(T))  # t - s
     K = np.zeros((T, T, 2, 2))
-    for t in range(T):
-        for s in range(t + 1):
-            K[t, s, 0, 0] = np.prod(a[s + 1 : t + 1]) * k[s]
-            K[t, s, 1, 1] = b ** (t - s) * v[s]  # Cov(eps_{t-1}, eps_{s-1})
+    K[:, :, 0, 0] = _lag_products(a) * k
+    K[:, :, 1, 1] = np.tril(b ** np.abs(lag) * v[:T])  # Cov(eps_{t-1}, eps_{s-1})
     A = np.zeros((T, 1, 2))
     A[:, 0, 0] = alpha
     A[:, 0, 1] = beta
     C = np.zeros((T, T, 2, 1))
-    for t in range(T):
-        for s in range(t):
-            C[t, s, 1, 0] = b ** (t - 1 - s)  # E eps_{t-1} w_s, s <= t-1
+    C[:, :, 1, 0] = np.tril(b ** np.abs(lag - 1), -1)  # E eps_{t-1} w_s, s <= t-1
     return build_vector_model(np.zeros((T, 2)), K, A, C)
 
 
@@ -475,19 +476,32 @@ def model_from_config(cfg: dict) -> GaussianModel:
     if not isinstance(cfg, dict):
         raise ConfigError("model config must be an object", field="model")
     kind = cfg.get("kind")
+
+    def num(name, default=None, scalar=False):
+        """A finite numeric model parameter; a single number where ``scalar``."""
+        value = _finite(cfg[name] if default is None else cfg.get(name, default), f"model.{name}")
+        if scalar and value.ndim:
+            raise ConfigError(f"{name} must be a number, got shape {value.shape}", field=f"model.{name}")
+        return value
+
     try:
         if kind == "general":
-            return build_general(cfg["m"], cfg["K"], cfg["A"])
+            return build_general(num("m"), num("K"), num("A"))
         if kind == "ar1":
-            return build_ar1(cfg["a"], cfg["D"], cfg.get("x0", 0.0), cfg["A"], _horizon(cfg))
+            return build_ar1(num("a"), num("D"), num("x0", 0.0, scalar=True), num("A"), _horizon(cfg))
         if kind == "ma1":
-            return build_ma1(cfg["lambda"], cfg["A"], _horizon(cfg))
+            return build_ma1(num("lambda", scalar=True), num("A"), _horizon(cfg))
         if kind == "vector":
-            return build_vector_model(cfg["m"], cfg["K"], cfg["A"], cfg.get("K_Xeps"))
+            cross = None if cfg.get("K_Xeps") is None else num("K_Xeps")
+            return build_vector_model(num("m"), num("K"), num("A"), cross)
         if kind == "ma1_observations":
-            return build_ma1_observations(cfg["lambda"], cfg["alpha"], cfg["beta"], _horizon(cfg))
+            return build_ma1_observations(
+                num("lambda", scalar=True), num("alpha"), num("beta", scalar=True), _horizon(cfg)
+            )
         if kind == "ar1_noise":
-            return build_ar1_noise(cfg["a"], cfg["b"], cfg["alpha"], cfg["beta"], _horizon(cfg))
+            return build_ar1_noise(
+                num("a"), num("b", scalar=True), num("alpha"), num("beta", scalar=True), _horizon(cfg)
+            )
     except KeyError as exc:
         raise ConfigError(f"missing model parameter {exc.args[0]!r}", field=f"model.{exc.args[0]}") from exc
     raise ConfigError(f"unknown model kind {kind!r}", field="model.kind")

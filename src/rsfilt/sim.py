@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, OverflowDominated
 from .filtering import AffineFilter, leg_affine, risk_neutral_filter
-from .model import GaussianModel, RiskSpec, _joint_factor, model_from_config, risk_from_config, seed_from_config
+from .model import (
+    GaussianModel, RiskSpec, _finite, _integer, _joint_factor, model_from_config, risk_from_config, seed_from_config,
+)
 from .oracle import affine_from_filter
 
 EXP_CAP = 700.0
@@ -51,24 +53,29 @@ class ExperimentConfig:
         model = model_from_config(cfg.get("model", {}))
         risk = risk_from_config(cfg.get("risk", {}), model.horizon)
         filt_cfg = cfg.get("filter", {"kind": "leg"})
+        if not isinstance(filt_cfg, dict):
+            raise ConfigError(f"filter must be an object, got {filt_cfg!r}", field="filter")
         kind = filt_cfg.get("kind", "leg")
         custom = None
         if kind == "custom":
+            T = model.horizon
             try:
                 custom = AffineFilter(
-                    intercept=np.asarray(filt_cfg["intercept"], dtype=float),
-                    gains=np.asarray(filt_cfg["gains"], dtype=float),
+                    intercept=_finite(filt_cfg["intercept"], "filter.intercept"),
+                    gains=_finite(filt_cfg["gains"], "filter.gains"),
                 )
             except KeyError as exc:
                 raise ConfigError(
                     f"custom filter needs {exc.args[0]!r}", field=f"filter.{exc.args[0]}"
                 ) from exc
+            if custom.intercept.shape != (T,) or custom.gains.shape != (T, T):
+                raise ConfigError(f"custom filter needs a length-{T} intercept and {T}x{T} gains", field="filter")
         return cls(
             model=model,
             risk=risk,
             filter_kind=kind,
             custom=custom,
-            n_paths=int(cfg.get("paths", cfg.get("n_paths", 10000))),
+            n_paths=_integer(cfg.get("paths", cfg.get("n_paths", 10000)), "paths", 1),
             seed=seed_from_config(cfg.get("seed", 0)),
             criterion=cfg.get("criterion", "exponential"),
         )

@@ -157,39 +157,44 @@ def _innovation_weight(g: np.ndarray, S: np.ndarray, step: int) -> np.ndarray:
     return (W + W.T) / 2
 
 
+def _lower_blocks(work: np.ndarray, T: int, n: int, filled: int) -> np.ndarray:
+    """The flat (T*n, T*n) table as (T, T, n, n) blocks, zero above the diagonal
+    and in every column from ``filled`` on."""
+    gam = np.ascontiguousarray(work.reshape(T, n, T, n).transpose(0, 2, 1, 3))
+    gam[np.triu_indices(T, 1)] = 0.0
+    gam[:, filled:] = 0.0
+    return gam
+
+
 def solve_volterra_matrix(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     """Vector-valued covariance recursion with independent observation noise.
 
     The per-step correction weight is W_l = S_l (I + gbar_l S_l)^{-1} with
     S_l = A_l'A_l - mu Q_l, which reduces entrywise to the scalar recursion
-    when n = m = 1.
+    when n = m = 1. Right-looking elimination on the flat (T*n, T*n) table:
+    once column s is final and its step is checked, every later entry gets
+    that step's correction U W_s U' in one matrix product.
     """
     if model.cross_cov is not None:
         raise SingularInnovationMatrix(
             "model has correlated noise; use solve_volterra_correlated"
         )
     T, n = model.horizon, model.n
-    K = model.cov
     S = risk.s_values(model.gains)
 
-    gam = np.zeros((T, T, n, n))
-    W = np.zeros((T, n, n))
+    work = model.flat_cov().copy()
     feasible, violation, clause = True, None, None
     for s in range(T):
-        if s == 0:
-            gam[:, 0] = K[:, 0]
-        else:
-            wg = np.einsum("lij,ljk->lik", W[:s], gam[s, :s].transpose(0, 2, 1))
-            gam[s:, s] = K[s:, s] - np.einsum("tlij,ljk->tik", gam[s:, :s], wg)
-        g = gam[s, s]
+        a, b = s * n, (s + 1) * n
+        g = work[a:b, a:b]
         clause = _feasibility_matrix(g, S[s])
         if clause is not None:
             feasible, violation = False, s + 1
-            gam[:, s + 1 :] = 0.0
             break
-        W[s] = _innovation_weight(g, S[s], s + 1)
+        U = work[b:, a:b]
+        work[b:, b:] -= U @ _innovation_weight(g, S[s], s + 1) @ U.T
     return VolterraSolution(
-        gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
+        gamma_bar=_lower_blocks(work, T, n, violation or T), S=S, mu=risk.mu, feasible=feasible,
         first_violation=violation, violated_clause=clause if not feasible else None,
     )
 
@@ -209,29 +214,16 @@ def _aux_rows(Qp):
     return R, np.diag(vals[keep])
 
 
-def _correlated_step_blocks(model, Qp, gdiag, s):
-    """Innovation covariance V_s and an observation-row builder for step s."""
-    A = model.gains[s]
-    Css = model.cross_cov[s, s] if model.cross_cov is not None else np.zeros((model.n, model.m))
-    m = model.m
-    g = gdiag
-
-    R, Naux = _aux_rows(Qp)
-    r = R.shape[0]
-    top = np.eye(m) + A @ g @ A.T + A @ Css + Css.T @ A.T
-    V = np.zeros((m + r, m + r))
-    V[:m, :m] = top
-    if r:
-        V[:m, m:] = (A @ g + Css.T) @ R.T
-        V[m:, :m] = V[:m, m:].T
-        V[m:, m:] = R @ g @ R.T + Naux
-
-    def rows(gts, Cts):
-        if r == 0:
-            return gts @ A.T + Cts
-        return np.concatenate([gts @ A.T + Cts, gts @ R.T], axis=-1)
-
-    return V, rows, Naux
+def _innovation_cov(A, Css, R, Naux, g):
+    """Covariance V_s of step s's innovation: the observation row A (noise
+    cross-covariance Css) stacked over the auxiliary rows R (noise Naux)."""
+    m = A.shape[0]
+    V = np.zeros((m + R.shape[0],) * 2)
+    V[:m, :m] = np.eye(m) + A @ g @ A.T + A @ Css + Css.T @ A.T
+    V[:m, m:] = (A @ g + Css.T) @ R.T
+    V[m:, :m] = V[:m, m:].T
+    V[m:, m:] = R @ g @ R.T + Naux
+    return V
 
 
 def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
@@ -240,39 +232,28 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     Uses the exact conditioning update with per-step innovation covariance
     built from the observation row and the eigen-reduced auxiliary rows of
     the weight block -mu Q_l; with zero cross-covariance this agrees with
-    ``solve_volterra_matrix``.
+    ``solve_volterra_matrix``. Right-looking elimination on the flat
+    (T*n, T*n) table: once column s is final and its step is checked, every
+    later entry gets that step's correction U V_s^{-1} U' from one solve and
+    one matrix product.
     """
     T, n, m = model.horizon, model.n, model.m
-    K = model.cov
-    Cross = model.cross_cov
     Qp = -risk.mu * risk.q_blocks(n)
     S = risk.s_values(model.gains)
 
-    gam = np.zeros((T, T, n, n))
-    Vs = [None] * T
-    rowfns = [None] * T
+    work = model.flat_cov().copy()
+    C = model.flat_cross()
     feasible, violation, clause = True, None, None
-
-    def urows(tsel, l):
-        """Innovation cross-covariance rows U(t, l) for a batch of targets."""
-        Cts = Cross[tsel, l] if Cross is not None else np.zeros((*gam[tsel, l].shape[:-1], m))
-        return rowfns[l](gam[tsel, l], Cts)
-
     for s in range(T):
-        acc = K[s:, s].copy()
-        for l in range(s):
-            # V_l^{-1} U(s, l)' is specific to this column; solve it once,
-            # then subtract the batched update over all targets t >= s.
-            Ml = np.linalg.solve(Vs[l], urows(s, l).T)
-            acc -= urows(slice(s, T), l) @ Ml
-        gam[s:, s] = acc
-        g = gam[s, s]
+        a, b = s * n, (s + 1) * n
+        g = work[a:b, a:b]
         gscale = max(float(np.trace(g)), 1.0)
         if np.linalg.eigvalsh((g + g.T) / 2)[0] < -FEAS_TOL * gscale:
             feasible, violation, clause = False, s + 1, CLAUSE_DIAG
-            gam[:, s + 1 :] = 0.0
             break
-        V, rows, Naux = _correlated_step_blocks(model, Qp[s], g, s)
+        A, Cs = model.gains[s], C[:, s * m : (s + 1) * m]
+        R, Naux = _aux_rows(Qp[s])
+        V = _innovation_cov(A, Cs[a:b], R, Naux, g)
         if np.linalg.cond(V) > COND_LIMIT:
             raise SingularInnovationMatrix(
                 f"innovation covariance at step {s + 1} is singular", step=s + 1
@@ -280,7 +261,6 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
         if risk.mu <= 0:
             if np.linalg.eigvalsh((V + V.T) / 2)[0] <= FEAS_TOL:
                 feasible, violation, clause = False, s + 1, CLAUSE_DENOM
-                gam[:, s + 1 :] = 0.0
                 break
         else:
             # Analytic continuation: the innovation determinant must keep the
@@ -290,13 +270,13 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
             sign_q = 1.0 if Naux.shape[0] == 0 else np.linalg.slogdet(Naux)[0]
             if sign_v * sign_q <= 0:
                 feasible, violation, clause = False, s + 1, CLAUSE_DENOM
-                gam[:, s + 1 :] = 0.0
                 break
-        Vs[s] = V
-        rowfns[s] = rows
+        col = work[b:, a:b]
+        U = np.concatenate([col @ A.T + Cs[b:], col @ R.T], axis=1)
+        work[b:, b:] -= U @ np.linalg.solve(V, U.T)
 
     return VolterraSolution(
-        gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
+        gamma_bar=_lower_blocks(work, T, n, violation or T), S=S, mu=risk.mu, feasible=feasible,
         first_violation=violation, violated_clause=clause if not feasible else None,
     )
 

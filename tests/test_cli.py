@@ -1,9 +1,15 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import math
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rsfilt.cli import FILTER_CSV_COLUMNS, run
@@ -223,3 +229,99 @@ def test_seed_outside_unsigned_64_bit_rejected(seed, where, verb, tmp_path, caps
 def test_largest_seed_accepted(config_path, capsys):
     assert run(["filter", "--config", config_path, "--seed", str(2**64 - 1)]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
+
+def _top(**entries):
+    cfg = copy.deepcopy(AR1_CONFIG)
+    cfg.update(entries)
+    return cfg
+
+
+CONFIG_VERBS = ["validate", "filter", "risk", "cm", "simulate", "compare"]
+
+
+@pytest.mark.parametrize("cfg, field, verbs", [
+    (_top(paths="x"), "paths", ["simulate", "compare"]),
+    (_top(filter="leg"), "filter", ["simulate"]),
+    (_top(filters=["leg", "risk_neutral"]), "filter", ["compare"]),
+    (_top(Y="x"), "Y", ["filter", "cm"]),
+    (_top(Y=[0.5, "x", 0.25, 1.5]), "Y", ["filter", "cm"]),
+    (_top(h="x"), "h", ["cm"]),
+    (_with("model", a="x"), "model.a", CONFIG_VERBS),
+    (_with("model", x0=[1.0, 2.0]), "model.x0", CONFIG_VERBS),
+])
+def test_malformed_entry_names_its_field(cfg, field, verbs, tmp_path, capsys):
+    cfg = copy.deepcopy(cfg)
+    cfg.setdefault("filters", [{"kind": "leg"}, {"kind": "risk_neutral"}])
+    cfg.setdefault("paths", 100)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    for verb in verbs:
+        assert run([verb, "--config", str(p)]) == 1, verb
+        out = capsys.readouterr()
+        assert f"config error at {field}:" in out.err, (verb, out.err)
+        assert "NaN" not in out.out
+
+
+FUZZ_T = 4
+_fuzz_K = np.tril(0.5 + 0.5 * np.eye(FUZZ_T)).tolist()
+FUZZ_MODELS = {
+    "general": {"kind": "general", "m": [0.1] * FUZZ_T, "K": _fuzz_K, "A": [1.0] * FUZZ_T},
+    "ar1": {"kind": "ar1", "a": 0.9, "D": 1.0, "x0": 0.5, "A": 1.0, "T": FUZZ_T},
+    "ma1": {"kind": "ma1", "lambda": 0.5, "A": 1.0, "T": FUZZ_T},
+    "vector": {"kind": "vector", "m": [0.0] * FUZZ_T, "K": _fuzz_K, "A": [1.0] * FUZZ_T,
+               "K_Xeps": (0.1 * np.eye(FUZZ_T)).tolist()},
+    "ma1_observations": {"kind": "ma1_observations", "lambda": 0.5, "alpha": 1.0, "beta": 0.3, "T": FUZZ_T},
+    "ar1_noise": {"kind": "ar1_noise", "a": 0.7, "b": 0.4, "alpha": 1.0, "beta": 0.4, "T": FUZZ_T},
+}
+FUZZ_TOP = {
+    "risk": {"mu": -0.5, "Q": 1.0},
+    "seed": 3,
+    "paths": 64,
+    "Y": [0.5, -1.0, 0.25, 1.5],
+    "h": [0.1, 0.0, -0.2, 0.3],
+    "filter": {"kind": "custom", "intercept": [0.0] * FUZZ_T, "gains": (0.5 * np.eye(FUZZ_T)).tolist()},
+    "filters": [{"kind": "leg"}, {"kind": "risk_neutral"}],
+    "criterion": "exponential",
+}
+# (model kind, path of the replaced entry) for every entry of every base config.
+FUZZ_SITES = [
+    (kind, path)
+    for kind, model in FUZZ_MODELS.items()
+    for path in [("model",), *[("model", k) for k in model], *[(k,) for k in FUZZ_TOP],
+                 ("risk", "mu"), ("risk", "Q"), ("filter", "kind"), ("filter", "intercept"), ("filter", "gains")]
+]
+MISSING = object()
+FUZZ_VALUES = ["x", math.nan, math.inf, -1, 0, 2.5, [], {}, None, [0.5] * (FUZZ_T + 1), MISSING]
+NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from(FUZZ_VALUES),
+       fmt=st.sampled_from(["json", "csv"]), to_file=st.booleans())
+def test_fuzz_one_bad_entry(site, value, fmt, to_file):
+    """Every verb ends in exit 0, 1 or 2, never raises, and writes no NaN or inf."""
+    kind, path = site
+    cfg = {"model": copy.deepcopy(FUZZ_MODELS[kind]), **copy.deepcopy(FUZZ_TOP)}
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/config.json"
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        for verb in CONFIG_VERBS:
+            out_file = f"{tmp}/{verb}.out"
+            flags = ["--out", out_file] if to_file else []
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                rc = run([verb, "--config", config, "--format", fmt, *flags])
+            assert rc in (0, 1, 2), (verb, rc)
+            written = stdout.getvalue()
+            if to_file and rc == 0:
+                written += open(out_file).read()
+            assert not NON_FINITE.search(written), (verb, written)

@@ -130,6 +130,71 @@ class TestBuildVectorModel:
         with pytest.raises(DimensionMismatch):
             rf.build_vector_model(np.zeros(2), np.eye(2), np.ones(2), C)
 
+    def test_cross_cov_rejection_names_first_pair_by_signal_step(self):
+        T = 6
+        C = np.zeros((T, T, 1, 1))
+        C[1, 2, 0, 0] = 0.1  # first in column order
+        C[0, 4, 0, 0] = 0.1  # first in (signal step, then noise step) order
+        with pytest.raises(DimensionMismatch, match="noise at step 5 may not correlate with the signal at earlier step 1"):
+            rf.build_vector_model(np.zeros(T), np.eye(T), np.ones(T), C)
+
+    def test_upper_blocks_mirror_lower_blocks(self, rng):
+        T, n = 30, 2
+        F = rng.normal(size=(T * n, T * n))
+        full = (F @ F.T).reshape(T, n, T, n).transpose(0, 2, 1, 3)
+        upper = np.triu(np.ones((T, T), dtype=bool), 1)[:, :, None, None]
+        K = np.where(upper, rng.normal(size=full.shape), full)  # blocks above the diagonal are never read
+        model = rf.build_vector_model(np.zeros((T, n)), K, np.ones((T, 1, n)))
+        for t in range(T):
+            for s in range(t):
+                assert not np.array_equal(K[t, s], K[t, s].T)
+                assert np.array_equal(model.cov[t, s], K[t, s])
+                assert np.array_equal(model.cov[s, t], K[t, s].T)
+            assert np.array_equal(model.cov[t, t], (K[t, t] + K[t, t].T) / 2.0)
+
+
+def assert_rel_close(actual, expected, rtol=1e-14):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+class TestPresetTablesClosedForm:
+    """The preset builders' tables, entry by entry, against their closed forms."""
+
+    T = 30
+
+    def test_ar1_noise(self, rng):
+        T = self.T
+        a, alpha = rng.uniform(-0.95, 0.95, T), rng.uniform(0.5, 1.5, T)
+        b, beta = -0.7, 0.3
+        model = rf.build_ar1_noise(a, b, alpha, beta, T)
+        k, v = np.zeros(T), np.zeros(T)  # k_s = Var X_s, v_s = Var eps_{s-1}
+        for s in range(T):
+            k[s] = a[s] ** 2 * (k[s - 1] if s else 0.0) + 1.0
+            v[s] = b**2 * v[s - 1] + 1.0 if s else 0.0
+        K, C = np.zeros((T, T, 2, 2)), np.zeros((T, T, 2, 1))
+        for t in range(T):
+            for s in range(t + 1):
+                K[t, s, 0, 0] = np.prod(a[s + 1 : t + 1]) * k[s]
+                K[t, s, 1, 1] = b ** (t - s) * v[s]
+                K[s, t] = K[t, s].T
+                if s < t:
+                    C[t, s, 1, 0] = b ** (t - 1 - s)
+        assert_rel_close(model.cov, K)
+        assert_rel_close(model.cross_cov, C)
+        assert np.array_equal(model.gains[:, 0], np.stack([alpha, np.full(T, beta)], axis=1))
+
+    def test_ma1_observations(self):
+        T, lam, beta = self.T, -0.6, 0.4
+        model = rf.build_ma1_observations(lam, 1.3, beta, T)
+        K, C = np.zeros((T, T, 2, 2)), np.zeros((T, T, 2, 1))
+        for t in range(T):
+            K[t, t] = np.diag([1.0 + lam**2, 1.0])
+            if t:
+                K[t, t - 1, 0, 0] = K[t - 1, t, 0, 0] = lam
+                C[t, t - 1, 1, 0] = 1.0
+        assert_rel_close(model.cov, K)
+        assert_rel_close(model.cross_cov, C)
+
 
 class TestRiskSpec:
     def test_negative_weight_rejected(self):

@@ -198,6 +198,33 @@ class TestMatrixSolver:
             rf.solve_volterra_matrix(model, rf.RiskSpec(mu=-1.0, Q=np.ones(3)))
 
 
+class TestVectorSolversLongHorizon:
+    """n = 1 vector models: the block solve (no cross-covariance) and the
+    correlated solve (all-zero cross-covariance) reproduce the scalar table."""
+
+    T = 60
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("solver", ["matrix", "correlated"])
+    def test_matches_scalar_solve(self, mu, solver):
+        T = self.T
+        rng = np.random.default_rng(60)
+        K = np.tril(fgn_kernel(T, 0.8))
+        m, A, Q = rng.normal(size=T), rng.uniform(0.5, 1.5, T), rng.uniform(0.5, 1.5, T)
+        risk = rf.RiskSpec(mu=mu, Q=Q)
+        ref = rf.solve_volterra(rf.build_general(m, K, A), risk)
+        assert ref.feasible == (mu <= 0.5)  # the grid reaches both outcomes
+        if solver == "matrix":
+            sol = rf.solve_volterra_matrix(rf.build_vector_model(m, K, A), risk)
+        else:
+            sol = rf.solve_volterra_correlated(rf.build_vector_model(m, K, A, np.zeros((T, T))), risk)
+        assert (sol.first_violation, sol.violated_clause) == (ref.first_violation, ref.violated_clause)
+        assert np.max(np.abs(sol.gamma_bar[:, :, 0, 0] - ref.gamma_bar)) <= 1e-12 * np.max(np.abs(ref.gamma_bar))
+        assert not np.any(sol.gamma_bar[np.triu_indices(T, 1)])
+        if not sol.feasible:
+            assert not np.any(sol.gamma_bar[:, sol.first_violation :])
+
+
 def first_component_weights(T, q=1.0, n=2):
     Q = np.zeros((T, n, n))
     Q[:, 0, 0] = q
@@ -282,6 +309,39 @@ class TestCorrelatedSolver:
                     [[sub[pos[xi(t, i)], pos[xi(s, j)]] for j in range(2)] for i in range(2)]
                 )
                 assert_allclose(sol.gamma_bar[t - 1, s - 1], blk, atol=1e-10)
+
+    @pytest.mark.parametrize("builder", ["ar1_noise", "ma1_observations"])
+    def test_presets_match_conditioning_long_horizon(self, builder):
+        T, mu = 40, -0.5
+        rng = np.random.default_rng(40)
+        if builder == "ar1_noise":
+            model = rf.build_ar1_noise(rng.uniform(0.5, 0.95, T), 0.6, rng.uniform(0.5, 1.5, T), -0.4, T)
+        else:
+            model = rf.build_ma1_observations(0.7, rng.uniform(0.5, 1.5, T), 0.5, T)
+        q = rng.uniform(0.5, 1.5, T)
+        sol = rf.solve_volterra_correlated(model, rf.RiskSpec(mu=mu, Q=q[:, None, None] * np.diag([1.0, 0.0])))
+        assert sol.feasible
+        # aux rows of the second component have zero weight; condition() drops them
+        Qp = np.stack([-mu * q, np.zeros(T)], axis=1).reshape(-1)
+        joint = rf.oracle.augment_with_aux(rf.assemble_joint(model), Qp, np.zeros(2 * T))
+        for t in (1, 2, 20, 40):
+            obs = [joint.index(("y", s, 0)) for s in range(1, t)]
+            obs += [joint.index(("aux", 2 * (s - 1) + i + 1, 0)) for s in range(1, t) for i in range(2)]
+            cond = rf.condition(joint, obs, np.zeros(len(obs)))
+            idx = [cond.index(("x", t, i)) for i in range(2)]
+            assert_allclose(sol.gamma_bar[t - 1, t - 1], cond.cov[np.ix_(idx, idx)], rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.3])
+    @pytest.mark.parametrize("step", [1, 2, 5])
+    def test_singular_innovation_reported_at_its_step(self, step, mu):
+        # Y_t = X_t + eps_t with Cov(X_t, eps_t) = -Var X_t = -1: a noiseless zero at that step
+        T = 6
+        C = np.zeros((T, T))
+        C[step - 1, step - 1] = -1.0
+        model = rf.build_vector_model(np.zeros(T), np.eye(T), np.ones(T), C)
+        with pytest.raises(SingularInnovationMatrix) as info:
+            rf.solve_volterra_correlated(model, rf.RiskSpec(mu=mu, Q=np.ones(T)))
+        assert info.value.step == step
 
     def test_scalar_correlated_toy_matches_oracle(self):
         T = 2
