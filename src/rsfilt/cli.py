@@ -18,6 +18,7 @@ import numpy as np
 from . import cameron_martin, filtering, oracle, sim
 from .errors import (
     ConfigError,
+    DomainError,
     FilteringError,
     InfeasibleCondition,
     OverflowDominated,
@@ -49,9 +50,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _scalar_only(model, args):
+    """Every verb but validate takes scalar models (n = m = 1) only."""
+    if args.verb != "validate" and not model.is_scalar:
+        raise ConfigError(
+            f"{args.verb} needs a scalar model, this one has signal and observation dims {model.dims}",
+            field="model.kind",
+        )
+    return model
+
+
 def _resolve(cfg: dict, args):
     """Model, risk and seed of a config with the --mu and --seed overrides applied."""
-    model = model_from_config(cfg.get("model", {}))
+    model = _scalar_only(model_from_config(cfg.get("model", {})), args)
     risk_cfg = cfg.get("risk", {"mu": 0.0, "Q": 0.0})
     if args.mu is not None and isinstance(risk_cfg, dict):
         risk_cfg = {**risk_cfg, "mu": args.mu}
@@ -134,7 +145,10 @@ def _cmd_risk(args) -> int:
     cfg = _load_config(args.config)
     model, risk, _ = _resolve(cfg, args)
     solution = solve_volterra(model, risk).require_feasible()
-    value = filtering.optimal_risk(solution, risk, model.gains1)
+    try:
+        value = filtering.optimal_risk(solution, risk, model.gains1)
+    except DomainError as exc:  # mu = 0
+        raise ConfigError(str(exc), field="risk.mu") from exc
     doc = {
         "optimal_risk": value,
         "mu": risk.mu,
@@ -179,7 +193,8 @@ def _cmd_cm(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _experiment_dict(args) -> dict:
+    """The Monte Carlo config with the --mu, --seed and --paths overrides applied."""
     cfg = _load_config(args.config)
     risk_cfg = cfg.get("risk", {})
     if args.mu is not None and isinstance(risk_cfg, dict):
@@ -188,7 +203,12 @@ def _cmd_simulate(args) -> int:
         cfg["seed"] = args.seed
     if args.paths is not None:
         cfg["paths"] = args.paths
-    config = sim.ExperimentConfig.from_dict(cfg)
+    return cfg
+
+
+def _cmd_simulate(args) -> int:
+    config = sim.ExperimentConfig.from_dict(_experiment_dict(args))
+    _scalar_only(config.model, args)
     estimate = sim.estimate_risk(config)
     doc = estimate.to_dict()
     doc["seed"] = config.seed
@@ -203,20 +223,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.paths is not None:
-        cfg["paths"] = args.paths
-    base = dict(cfg)
+    cfg = _experiment_dict(args)
     filters = cfg.get("filters")
     if not isinstance(filters, list) or len(filters) != 2:
         raise ConfigError("compare needs a 'filters' list with exactly two entries", field="filters")
     configs = []
     for f in filters:
-        c = dict(base)
+        c = dict(cfg)
         c["filter"] = f
         configs.append(sim.ExperimentConfig.from_dict(c))
+    _scalar_only(configs[0].model, args)
     report = sim.compare_filters(configs[0], configs[1])
     _emit(args, payload_json=report.to_dict())
     return 0

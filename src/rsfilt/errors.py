@@ -6,7 +6,14 @@ class FilteringError(Exception):
 
 
 class DimensionMismatch(FilteringError):
-    """Array shapes are inconsistent with the declared model dimensions."""
+    """Array shapes are inconsistent with the declared model dimensions.
+
+    ``param`` names the builder argument at fault when a single one is.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class NotPositiveSemidefinite(FilteringError):
@@ -18,7 +25,11 @@ class NotPositiveSemidefinite(FilteringError):
 
 
 class NegativeVariance(FilteringError):
-    """A variance parameter is negative."""
+    """A variance parameter is negative; ``param`` names the builder argument."""
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class FactorizationFailure(FilteringError):

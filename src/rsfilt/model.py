@@ -35,7 +35,7 @@ def _as_sequence(x, T, name):
     if arr.ndim == 0:
         return np.full(T, float(arr))
     if arr.shape != (T,):
-        raise DimensionMismatch(f"{name} must be scalar or length {T}, got shape {arr.shape}")
+        raise DimensionMismatch(f"{name} must be scalar or length {T}, got shape {arr.shape}", param=name)
     return arr
 
 
@@ -47,6 +47,8 @@ def _symmetrize_from_lower(K):
 
 def check_psd(mat, what):
     """Eigenvalue floor check with tolerance -PSD_TOL * trace."""
+    if not np.all(np.isfinite(mat)):
+        raise NotPositiveSemidefinite(f"{what} has entries that are not finite in double precision")
     sym = (mat + mat.T) / 2.0
     scale = max(float(np.trace(sym)), 1.0)
     eigvals = np.linalg.eigvalsh(sym)
@@ -210,13 +212,16 @@ def _validate_model(mean, cov, gains, cross_cov):
     check_psd(model.flat_cov(), "signal covariance table")
     if cross_cov is not None:
         if cross_cov.shape != (T, T, n, m):
-            raise DimensionMismatch(f"cross_cov must have shape {(T, T, n, m)}, got {cross_cov.shape}")
+            raise DimensionMismatch(
+                f"cross_cov must have shape {(T, T, n, m)}, got {cross_cov.shape}", param="K_Xeps"
+            )
         upper = np.any(cross_cov != 0.0, axis=(2, 3)) & (idx[:, None] < idx[None, :])
         if upper.any():
             t, s = np.argwhere(upper)[0]  # row-major: the first (t, then s) pair
             raise DimensionMismatch(
                 "cross_cov must be lower-triangular: noise at step "
-                f"{s + 1} may not correlate with the signal at earlier step {t + 1}"
+                f"{s + 1} may not correlate with the signal at earlier step {t + 1}",
+                param="K_Xeps",
             )
         # The (signal, noise) joint must itself be a covariance.
         check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
@@ -255,10 +260,10 @@ def build_general(m, K, A) -> GaussianModel:
     K = np.asarray(K, dtype=float)
     A = np.asarray(A, dtype=float)
     if m.ndim != 1:
-        raise DimensionMismatch(f"mean must be 1-d, got shape {m.shape}")
+        raise DimensionMismatch(f"mean must be 1-d, got shape {m.shape}", param="m")
     T = m.shape[0]
     if K.shape != (T, T):
-        raise DimensionMismatch(f"K must be {T}x{T}, got {K.shape}")
+        raise DimensionMismatch(f"K must be {T}x{T}, got {K.shape}", param="K")
     A = _as_sequence(A, T, "A")
     Ksym = _symmetrize_from_lower(K)
     return _validate_model(
@@ -276,7 +281,7 @@ def build_ar1(a, D, x0, A, T) -> GaussianModel:
     D = _as_sequence(D, T, "D")
     A = _as_sequence(A, T, "A")
     if np.any(D < 0):
-        raise NegativeVariance("innovation variances D must be nonnegative")
+        raise NegativeVariance("innovation variances D must be nonnegative", param="D")
     k = np.zeros(T)
     prev = 0.0
     for t in range(T):
@@ -312,14 +317,14 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
     if m.ndim == 1:
         m = m[:, None]
     if m.ndim != 2:
-        raise DimensionMismatch(f"mean must be (T,) or (T, n), got shape {m.shape}")
+        raise DimensionMismatch(f"mean must be (T,) or (T, n), got shape {m.shape}", param="m")
     T, n = m.shape
 
     K = np.asarray(K, dtype=float)
     if K.shape == (T, T) and n == 1:
         K = K[:, :, None, None]
     if K.shape != (T, T, n, n):
-        raise DimensionMismatch(f"K must have shape {(T, T, n, n)}, got {K.shape}")
+        raise DimensionMismatch(f"K must have shape {(T, T, n, n)}, got {K.shape}", param="K")
     # Mirror lower blocks: K[s, t] = K[t, s]' for s < t.
     idx = np.arange(T)
     Kt = K.transpose(1, 0, 3, 2)
@@ -330,7 +335,7 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
     if A.ndim == 1 and n == 1:
         A = A[:, None, None]
     if A.ndim != 3 or A.shape[0] != T or A.shape[2] != n:
-        raise DimensionMismatch(f"gains must have shape (T, m, {n}), got {A.shape}")
+        raise DimensionMismatch(f"gains must have shape (T, m, {n}), got {A.shape}", param="A")
 
     C = None
     if K_Xeps is not None:
@@ -504,6 +509,10 @@ def model_from_config(cfg: dict) -> GaussianModel:
             )
     except KeyError as exc:
         raise ConfigError(f"missing model parameter {exc.args[0]!r}", field=f"model.{exc.args[0]}") from exc
+    except (DimensionMismatch, NegativeVariance) as exc:  # builder arguments carry their config names
+        raise ConfigError(str(exc), field="model" if exc.param is None else f"model.{exc.param}") from exc
+    except NotPositiveSemidefinite as exc:
+        raise ConfigError(str(exc), field="model") from exc
     raise ConfigError(f"unknown model kind {kind!r}", field="model.kind")
 
 
@@ -522,4 +531,7 @@ def risk_from_config(cfg: dict, horizon: int) -> RiskSpec:
         Q = np.full(horizon, float(Q))
     if Q.ndim == 1 and Q.shape[0] != horizon:
         raise ConfigError(f"Q has length {Q.shape[0]}, model horizon is {horizon}", field="risk.Q")
-    return RiskSpec(mu=mu, Q=Q)
+    try:
+        return RiskSpec(mu=mu, Q=Q)
+    except (DimensionMismatch, NegativeVariance, NotPositiveSemidefinite) as exc:
+        raise ConfigError(str(exc), field="risk.Q") from exc

@@ -1,15 +1,21 @@
 """Monte Carlo estimation of filter risks.
 
-Every filter is resolved to its causal affine map once; paths are generated
-in batches from a counter-based generator, each filter is applied to a batch
-as one matrix product, and per-batch partial sums are combined with
-``math.fsum`` so results are reproducible independent of the batching.
-Filter comparisons reuse the same paths (common random numbers).
+Every filter is resolved to its causal affine map once, and with the joint
+factor of (X, eps) that map becomes one residual map from a path's standard
+normals z to its estimation error, so each batch costs one matrix product
+per filter. Each batch draws its normals from its own counter-based stream;
+a few threads draw them ahead of the batch loop, which changes no number.
+Per-batch partial sums are combined with ``math.fsum`` so results are
+reproducible independent of the batching. Filter comparisons reuse the same
+paths (common random numbers).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +29,7 @@ from .oracle import affine_from_filter
 
 EXP_CAP = 700.0
 OVERFLOW_FRACTION = 1e-3
+DRAW_WORKERS = 3  # most threads drawing normals ahead of the batch loop
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,55 @@ def _batches(n_paths: int, batch_size: int):
         start += batch_size
 
 
-def _sample_batch(model: GaussianModel, rng, size: int):
+def _residual_map(model: GaussianModel, L: np.ndarray, filt: AffineFilter):
+    """(r, R) with X - filt.apply(Y) = r + z @ R.T for a path drawn as (X - m, eps) = L z.
+
+    With Y = diag(A) X + eps and P = I - F diag(A), the error is
+    P m - c + (P L_X - F L_eps) z, where L_X and L_eps are the first and last
+    T rows of L.
+    """
     T = model.horizon
-    L = _joint_factor(model)
-    z = rng.standard_normal((size, L.shape[0]))
-    draws = z @ L.T
-    X = draws[:, :T] + model.flat_mean()[None, :]
-    eps = draws[:, T:]
-    Y = model.gains1 * X + eps
-    return X, Y
+    F = filt.gains
+    P = np.eye(T) - F * model.gains1[None, :]
+    return P @ model.flat_mean() - filt.intercept, P @ L[:T] - F @ L[T:]
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _normals(seeds, sizes, width: int):
+    """Each batch's (size, width) standard normals, in batch order, drawn ahead on worker threads.
+
+    Batch b comes from its own Philox stream, so its numbers do not depend on
+    the thread that draws it. The draws fill a ring of workers + 1 buffers;
+    batch b + workers is submitted once batch b is taken, into the buffer of
+    batch b - 1, which the caller has finished with by then. A yielded array
+    is overwritten after the next one is requested.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
+
+    workers = min(len(sizes), _available_cpus(), DRAW_WORKERS)
+    ring = [np.empty((sizes[0], width)) for _ in range(workers + 1)]
+
+    def draw(b):
+        out = ring[b % len(ring)][: sizes[b]]
+        np.random.Generator(np.random.Philox(seeds[b])).standard_normal(out=out)
+        return out
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead = deque(pool.submit(draw, b) for b in range(workers))
+        for b in range(len(sizes)):
+            z = ahead.popleft().result()
+            if b + workers < len(sizes):
+                ahead.append(pool.submit(draw, b + workers))
+            yield z
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _times_exp(x: float, shift: float) -> float:
@@ -164,35 +211,39 @@ def _monte_carlo(configs):
     first = configs[0]
     model, risk, n = first.model, first.risk, first.n_paths
     model._require_scalar()
-    filters = [_resolve_filter(c) for c in configs]
+    L = _joint_factor(model)
+    maps = [_residual_map(model, L, _resolve_filter(c)) for c in configs]
     Q = risk.q_vector()
     exponential = first.criterion == "exponential"
     log_space = exponential and risk.mu > 0
 
     sizes = list(_batches(n, first.batch_size))
     batch_seeds = np.random.SeedSequence(first.seed).spawn(len(sizes))
-    parts = [[] for _ in filters]
+    parts = [[] for _ in maps]
     diff_parts = []
-    n_overflow = [0] * len(filters)
-    for size, bseed in zip(sizes, batch_seeds):
-        Xb, Yb = _sample_batch(model, np.random.Generator(np.random.Philox(bseed)), size)
-        scaled = []
-        for i, filt in enumerate(filters):
-            u = (Xb - filt.apply(Yb)) ** 2 @ Q
-            shift = 0.0
-            if exponential:
-                expo = 0.5 * risk.mu * u
-                if log_space:
-                    n_overflow[i] += int(np.count_nonzero(expo > EXP_CAP))
-                    shift = float(np.max(expo))
-                u = risk.mu * np.exp(expo - shift)
-            parts[i].append((shift, math.fsum(u), math.fsum(u * u)))
-            scaled.append((u, shift))
-        if len(filters) == 2:
-            (ua, sa), (ub, sb) = scaled
-            top = max(sa, sb)
-            d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
-            diff_parts.append((top, math.fsum(d), math.fsum(d * d)))
+    n_overflow = [0] * len(maps)
+    with contextlib.closing(_normals(batch_seeds, sizes, L.shape[0])) as batches:
+        for z in batches:
+            scaled = []
+            for i, (r, R) in enumerate(maps):
+                e = z @ R.T
+                e += r
+                np.square(e, out=e)
+                u = e @ Q
+                shift = 0.0
+                if exponential:
+                    expo = 0.5 * risk.mu * u
+                    if log_space:
+                        n_overflow[i] += int(np.count_nonzero(expo > EXP_CAP))
+                        shift = float(np.max(expo))
+                    u = risk.mu * np.exp(expo - shift)
+                parts[i].append((shift, math.fsum(u), math.fsum(u * u)))
+                scaled.append((u, shift))
+            if len(maps) == 2:
+                (ua, sa), (ub, sb) = scaled
+                top = max(sa, sb)
+                d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
+                diff_parts.append((top, math.fsum(d), math.fsum(d * d)))
 
     if max(n_overflow) > OVERFLOW_FRACTION * n:
         raise OverflowDominated(

@@ -258,19 +258,16 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
             raise SingularInnovationMatrix(
                 f"innovation covariance at step {s + 1} is singular", step=s + 1
             )
-        if risk.mu <= 0:
-            if np.linalg.eigvalsh((V + V.T) / 2)[0] <= FEAS_TOL:
-                feasible, violation, clause = False, s + 1, CLAUSE_DENOM
-                break
-        else:
-            # Analytic continuation: the innovation determinant must keep the
-            # sign it inherits from the weight block, matching 1 + S gbar > 0
-            # in the scalar case.
-            sign_v, _ = np.linalg.slogdet(V)
-            sign_q = 1.0 if Naux.shape[0] == 0 else np.linalg.slogdet(Naux)[0]
-            if sign_v * sign_q <= 0:
-                feasible, violation, clause = False, s + 1, CLAUSE_DENOM
-                break
+        # Analytic continuation, counted by inertia (Haynsworth inertia
+        # additivity): the step is feasible when V_s has exactly as many
+        # nonpositive eigenvalues as the auxiliary noise has negative
+        # variances, none for mu <= 0. This is 1 + S gbar > 0 in the scalar
+        # case; unlike the sign of det V_s it sees two eigenvalues of
+        # I + S gbar turning negative at one step.
+        nonpositive = np.count_nonzero(np.linalg.eigvalsh((V + V.T) / 2) <= FEAS_TOL)
+        if nonpositive != np.count_nonzero(Naux < 0):  # Naux is diagonal
+            feasible, violation, clause = False, s + 1, CLAUSE_DENOM
+            break
         col = work[b:, a:b]
         U = np.concatenate([col @ A.T + Cs[b:], col @ R.T], axis=1)
         work[b:, b:] -= U @ np.linalg.solve(V, U.T)

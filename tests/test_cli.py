@@ -120,6 +120,24 @@ def test_compare_verb(config_path, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["diff_mean"] <= 0
 
+
+def test_compare_mu_flag_overrides_config(tmp_path, capsys):
+    cfg = copy.deepcopy(AR1_CONFIG)
+    cfg["paths"] = 2000
+    cfg["filters"] = [{"kind": "leg"}, {"kind": "risk_neutral"}]
+    flagged, direct = tmp_path / "flagged.json", tmp_path / "direct.json"
+    flagged.write_text(json.dumps(cfg))
+    cfg["risk"]["mu"] = 0.3
+    direct.write_text(json.dumps(cfg))
+    outputs = []
+    for argv in (["--config", str(flagged), "--mu", "0.3"], ["--config", str(direct)],
+                 ["--config", str(flagged)]):
+        assert run(["compare", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != outputs[2]
+
+
 def test_compare_needs_two_filters(config_path, capsys):
     assert run(["compare", "--config", config_path]) == 1
     assert "filters" in capsys.readouterr().err
@@ -249,6 +267,13 @@ CONFIG_VERBS = ["validate", "filter", "risk", "cm", "simulate", "compare"]
     (_top(h="x"), "h", ["cm"]),
     (_with("model", a="x"), "model.a", CONFIG_VERBS),
     (_with("model", x0=[1.0, 2.0]), "model.x0", CONFIG_VERBS),
+    (_with("model", a=[0.9, 0.5]), "model.a", CONFIG_VERBS),
+    (_with("model", D=-1), "model.D", CONFIG_VERBS),
+    (_with("model", a=1e200), "model", CONFIG_VERBS),
+    (_with("risk", Q=-1), "risk.Q", CONFIG_VERBS),
+    (_with("risk", mu=0), "risk.mu", ["risk"]),
+    (_top(model={"kind": "ma1_observations", "lambda": 0.5, "alpha": 1.0, "beta": 0.3, "T": 4}),
+     "model.kind", ["filter", "risk", "cm", "simulate", "compare"]),
 ])
 def test_malformed_entry_names_its_field(cfg, field, verbs, tmp_path, capsys):
     cfg = copy.deepcopy(cfg)
@@ -300,7 +325,7 @@ NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
 @given(site=st.sampled_from(FUZZ_SITES), value=st.sampled_from(FUZZ_VALUES),
        fmt=st.sampled_from(["json", "csv"]), to_file=st.booleans())
 def test_fuzz_one_bad_entry(site, value, fmt, to_file):
-    """Every verb ends in exit 0, 1 or 2, never raises, and writes no NaN or inf."""
+    """Every verb ends in exit 0, 1 (naming the field) or 2, never raises, and writes no NaN or inf."""
     kind, path = site
     cfg = {"model": copy.deepcopy(FUZZ_MODELS[kind]), **copy.deepcopy(FUZZ_TOP)}
     parent = cfg
@@ -317,10 +342,12 @@ def test_fuzz_one_bad_entry(site, value, fmt, to_file):
         for verb in CONFIG_VERBS:
             out_file = f"{tmp}/{verb}.out"
             flags = ["--out", out_file] if to_file else []
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = run([verb, "--config", config, "--format", fmt, *flags])
             assert rc in (0, 1, 2), (verb, rc)
+            if rc == 1:
+                assert "config error at " in stderr.getvalue(), (verb, stderr.getvalue())
             written = stdout.getvalue()
             if to_file and rc == 0:
                 written += open(out_file).read()

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
+from rsfilt import sim
 from rsfilt.errors import ConfigError, OverflowDominated
 
 
@@ -217,3 +220,56 @@ class TestExperimentConfig:
         ea = rf.estimate_risk(leg)
         eb = rf.estimate_risk(custom)
         assert_allclose(ea.mean, eb.mean, rtol=1e-12)
+
+
+def _correlated_model():
+    T = 3
+    K = np.tril([[1.3, 0.0, 0.0], [0.6, 1.1, 0.0], [0.3, 0.5, 1.0]])
+    C = np.array([[0.4, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, 0.0, 0.2]])
+    return rf.build_vector_model([0.2, -0.1, 0.0], K, [1.0, 0.8, 1.2], C)
+
+
+class TestResidualMap:
+    @pytest.mark.parametrize("model_kind, kind", [
+        ("ar1", "leg"), ("ar1", "risk_neutral"), ("ar1", "custom"),
+        ("correlated", "risk_neutral"), ("correlated", "custom"),
+    ])
+    def test_matches_sampled_residual(self, model_kind, kind):
+        # L of the correlated model is not block-diagonal: eps loads on the signal's normals.
+        model = rf.build_ar1(0.8, 1.0, 0.5, [1.0, 0.7, 1.3], 3) if model_kind == "ar1" else _correlated_model()
+        T = model.horizon
+        rng = np.random.default_rng(3)
+        custom = rf.AffineFilter(intercept=rng.normal(size=T), gains=np.tril(rng.normal(size=(T, T))))
+        config = rf.ExperimentConfig(model=model, risk=rf.RiskSpec(mu=-1.0, Q=np.ones(T)),
+                                     filter_kind=kind, custom=custom if kind == "custom" else None)
+        filt = sim._resolve_filter(config)
+        L = sim._joint_factor(model)
+        z = rng.standard_normal((512, 2 * T))
+        draws = z @ L.T
+        X = draws[:, :T] + model.flat_mean()
+        Y = model.gains1 * X + draws[:, T:]
+        r, R = sim._residual_map(model, L, filt)
+        assert_allclose(r + z @ R.T, X - filt.apply(Y), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.2])
+    def test_results_do_not_depend_on_the_draw_threads(self, monkeypatch, mu):
+        leg = ar1_config(mu=mu, n_paths=5000, seed=29, batch_size=1024)
+        rn = ar1_config(mu=mu, n_paths=5000, seed=29, batch_size=1024, kind="risk_neutral")
+        default = rf.estimate_risk(leg), rf.compare_filters(leg, rn)
+        monkeypatch.setattr(sim, "DRAW_WORKERS", 1)
+        assert (rf.estimate_risk(leg), rf.compare_filters(leg, rn)) == default
+
+    def test_more_draw_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # A draw landing in a buffer the batch loop still reads would change the estimate.
+        config = ar1_config(mu=0.2, n_paths=6000, seed=31, batch_size=256)
+        monkeypatch.setattr(sim, "DRAW_WORKERS", 1)
+        serial = rf.estimate_risk(config)
+        monkeypatch.setattr(sim, "DRAW_WORKERS", 6)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = rf.estimate_risk(config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

@@ -343,6 +343,29 @@ class TestCorrelatedSolver:
             rf.solve_volterra_correlated(model, rf.RiskSpec(mu=mu, Q=np.ones(T)))
         assert info.value.step == step
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_positive_mu_verdict_matches_matrix_solve(self, seed):
+        # Two signal components with fGn and geometric kernels. For mu > 0
+        # two eigenvalues of I + S_t gbar_t can turn negative at one step,
+        # which leaves the sign of det V_s unchanged; the verdict must still
+        # be the matrix solve's.
+        T = 20
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=2)
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        K = (fgn_kernel(T, rng.uniform(0.6, 0.9))[:, :, None, None] * (np.outer(c, c) + 0.1 * np.eye(2))
+             + (rng.uniform(0.3, 0.9) ** lag)[:, :, None, None] * np.diag(rng.uniform(0.2, 1.0, 2)))
+        model = rf.build_vector_model(rng.normal(size=(T, 2)) * 0.3, K, rng.uniform(0.5, 1.5, (T, 1, 2)))
+        q = rng.uniform(0.5, 1.5, T)
+        for mu in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+            risk = rf.RiskSpec(mu=mu, Q=q[:, None, None] * np.eye(2))
+            want = rf.solve_volterra_matrix(model, risk)
+            got = rf.solve_volterra_correlated(model, risk)
+            assert (got.feasible, got.first_violation, got.violated_clause) == (
+                want.feasible, want.first_violation, want.violated_clause), mu
+            if want.feasible:
+                assert_allclose(got.gamma_bar, want.gamma_bar, rtol=1e-9, atol=1e-9)
+
     def test_scalar_correlated_toy_matches_oracle(self):
         T = 2
         K = np.tril(np.array([[1.3, 0.0], [0.6, 1.1]]))
