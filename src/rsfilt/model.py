@@ -284,11 +284,13 @@ def build_ar1(a, D, x0, A, T) -> GaussianModel:
         raise NegativeVariance("innovation variances D must be nonnegative", param="D")
     k = np.zeros(T)
     prev = 0.0
-    for t in range(T):
-        prev = a[t] ** 2 * prev + D[t]
-        k[t] = prev
-    m = np.cumprod(a) * float(x0)
-    return build_general(m, _lag_products(a) * k, A)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries fail check_psd below
+        for t in range(T):
+            prev = a[t] ** 2 * prev + D[t]
+            k[t] = prev
+        m = np.cumprod(a) * float(x0)
+        K = _lag_products(a) * k
+    return build_general(m, K, A)
 
 
 def build_ma1(lam, A, T) -> GaussianModel:

@@ -145,9 +145,10 @@ def condition(joint: JointGaussian, observed_indices, observed_values) -> JointG
     scale = max(float(np.max(np.diag(joint.cov))), 1.0)
     keep = [k for k, i in enumerate(observed_indices) if joint.cov[i, i] > DEGENERATE_VAR * scale]
     obs = [observed_indices[k] for k in keep]
-    dropped = tuple(i for i in observed_indices if i not in set(obs))
+    obs_set, observed_set = set(obs), set(observed_indices)
+    dropped = tuple(i for i in observed_indices if i not in obs_set)
     vals = observed_values[keep]
-    rest = [i for i in range(joint.dim) if i not in set(observed_indices)]
+    rest = [i for i in range(joint.dim) if i not in observed_set]
 
     if obs:
         Soo = joint.cov[np.ix_(obs, obs)]
@@ -189,12 +190,8 @@ def assemble_joint(model: GaussianModel) -> JointGaussian:
     cov[T * n :, : T * n] = cov[: T * n, T * n :].T
     cov[T * n :, T * n :] = Af @ Kf @ Af.T + np.eye(T * m) + Af @ Cf + Cf.T @ Af.T
 
-    labels = {}
-    for t in range(T):
-        for i in range(n):
-            labels[("x", t + 1, i)] = t * n + i
-        for j in range(m):
-            labels[("y", t + 1, j)] = T * n + t * m + j
+    labels = {("x", t + 1, i): t * n + i for t in range(T) for i in range(n)}
+    labels.update({("y", t + 1, j): T * n + t * m + j for t in range(T) for j in range(m)})
     return JointGaussian(mean=mean, cov=cov, labels=labels)
 
 
@@ -334,28 +331,59 @@ def conditional_exp_quadratic(joint: JointGaussian, Y_values, risk: RiskSpec, h)
 def affine_from_filter(apply_fn, T: int) -> AffineFilter:
     """Extract affine coefficients by evaluating a filter on basis paths."""
     base = np.asarray(apply_fn(np.zeros(T)), dtype=float)
-    G = np.zeros((T, T))
-    for j in range(T):
-        e = np.zeros(T)
-        e[j] = 1.0
-        G[:, j] = np.asarray(apply_fn(e), dtype=float) - base
+    G = np.column_stack([np.asarray(apply_fn(e), dtype=float) - base for e in np.eye(T)])
     return AffineFilter(intercept=base, gains=np.tril(G))
 
 
 def _pack(filt: AffineFilter) -> np.ndarray:
     T = filt.intercept.shape[0]
-    tail = [filt.gains[t, : t + 1] for t in range(T)]
-    return np.concatenate([filt.intercept] + tail)
+    return np.concatenate([filt.intercept, filt.gains[np.tril_indices(T)]])
 
 
 def _unpack(theta: np.ndarray, T: int) -> AffineFilter:
-    c = theta[:T]
     G = np.zeros((T, T))
-    pos = T
-    for t in range(T):
-        G[t, : t + 1] = theta[pos : pos + t + 1]
-        pos += t + 1
-    return AffineFilter(intercept=c.copy(), gains=G)
+    G[np.tril_indices(T)] = theta[T:]
+    return AffineFilter(intercept=theta[:T].copy(), gains=G)
+
+
+def _affine_criterion(model: GaussianModel, risk: RiskSpec, extra_x_weight=None):
+    """theta -> E mu exp((mu/2) [sum_t Q_t e_t^2 + sum_t R_t X_t^2]) for a packed affine filter.
+
+    The (X, Y) joint is assembled and validated once. A filter (c, G) gives
+    w = M (X, Y) - (c, 0), M = [I, -G] stacked over [I, 0] when R is given;
+    with P = -mu diag(Q, R) = +-D and D^(1/2) folded into M's rows, a call is
+    one symmetric eigensolve of D^(1/2) Cov(w) D^(1/2) in the T or 2T dims of w.
+    """
+    if risk.mu == 0.0:
+        raise DomainError("criterion value is undefined at mu = 0")
+    if model.m != 1:
+        raise DimensionMismatch("affine-risk evaluation requires scalar observations")
+    T, n, mu = model.horizon, model.n, risk.mu
+    joint = assemble_joint(model)
+    keep = np.concatenate([np.arange(T) * n, T * n + np.arange(T)])
+    mean, cov = joint.mean[keep], joint.cov[np.ix_(keep, keep)]
+    weights = risk.q_vector()
+    if extra_x_weight is not None:
+        weights = np.concatenate([weights, np.asarray(extra_x_weight, dtype=float)])
+    if np.any(weights < 0):
+        raise DomainError("extra_x_weight must be nonnegative")
+    sign = -np.sign(mu)  # P = sign * D
+    root = np.sqrt(abs(mu) * weights)
+    M = root[:, None] * np.tile(np.eye(T, 2 * T), (weights.shape[0] // T, 1))
+    rows, cols = np.tril_indices(T)
+
+    def criterion(theta) -> float:
+        M[rows, T + cols] = -root[rows] * theta[T:]
+        d = M @ mean
+        d[:T] -= root[:T] * theta[:T]
+        beta, V = np.linalg.eigh(M @ cov @ M.T)
+        lam = sign * beta
+        if 1.0 + lam.min() <= DIVERGE_TOL:
+            raise TransformDiverges(f"affine-filter criterion diverges (min eigenvalue 1+{lam.min():.3e})")
+        v = d @ V
+        return mu * float(np.exp(-0.5 * (np.log1p(lam).sum() + sign * (v * v / (1.0 + lam)).sum())))
+
+    return criterion
 
 
 def exact_affine_risk(model: GaussianModel, risk: RiskSpec, filt: AffineFilter, extra_x_weight=None) -> float:
@@ -367,33 +395,7 @@ def exact_affine_risk(model: GaussianModel, risk: RiskSpec, filt: AffineFilter, 
     allowed with scalar observations; the criterion then weighs the first
     signal component.
     """
-    if risk.mu == 0.0:
-        raise DomainError("criterion value is undefined at mu = 0")
-    if model.m != 1:
-        raise DimensionMismatch("affine-risk evaluation requires scalar observations")
-    T = model.horizon
-    joint = assemble_joint(model)
-    Q = risk.q_vector()
-    mu = risk.mu
-
-    N = joint.dim
-    P = np.zeros((N, N))
-    q = np.zeros(N)
-    r = 0.0
-    for t in range(T):
-        row = np.zeros(N)
-        row[joint.index(("x", t + 1, 0))] = 1.0
-        for l in range(t + 1):
-            row[joint.index(("y", l + 1, 0))] = -filt.gains[t, l]
-        c = filt.intercept[t]
-        P += (-mu * Q[t]) * np.outer(row, row)
-        q += (-mu * Q[t] * c) * row
-        r += 0.5 * mu * Q[t] * c**2
-        if extra_x_weight is not None:
-            e = np.zeros(N)
-            e[joint.index(("x", t + 1, 0))] = 1.0
-            P += (-mu * float(extra_x_weight[t])) * np.outer(e, e)
-    return mu * expected_exp_quadratic(joint.mean, joint.cov, P, q, r)
+    return _affine_criterion(model, risk, extra_x_weight)(_pack(filt))
 
 
 def _pattern_search(f, x0, step0=0.25, tol=1e-9, budget=100000):
@@ -435,19 +437,20 @@ def minimize_affine_risk(model: GaussianModel, risk: RiskSpec, extra_x_weight=No
     if model.m != 1:
         raise DimensionMismatch("affine-risk minimization requires scalar observations")
     T = model.horizon
-    Q = risk.q_vector()
 
     def neutral(Y):
         h = risk_neutral_filter(model, Y)
         return h if model.n == 1 else h[:, 0]
 
     start = affine_from_filter(neutral, T)
-    if extra_x_weight is None and np.all(Q == 0.0):
+    if extra_x_weight is None and not np.any(risk.q_vector()):
         return start, risk.mu  # flat objective
+
+    criterion = _affine_criterion(model, risk, extra_x_weight)
 
     def objective(theta):
         try:
-            return exact_affine_risk(model, risk, _unpack(theta, T), extra_x_weight)
+            return criterion(theta)
         except TransformDiverges:
             return np.inf
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,13 @@ class TestBuildAr1:
     def test_negative_D_rejected(self):
         with pytest.raises(NegativeVariance):
             rf.build_ar1(0.5, -0.1, 0.0, 1.0, 3)
+
+    def test_overflowing_coefficient_rejected_without_warnings(self):
+        # a^2 overflows and 0 * inf is nan; check_psd refuses the table, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveSemidefinite):
+                rf.build_ar1(1e200, 1.0, 0.0, 1.0, 4)
 
 
 class TestBuildMa1:

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import rsfilt as rf
 from rsfilt.errors import DomainError, SingularConditioning, TransformDiverges
 
-from conftest import random_scalar_model
+from conftest import fgn_kernel, random_scalar_model
 
 
 def hermite_expectation_2d(mU, mV, gU, gV, gUV, D, l1, l2, order=80):
@@ -276,6 +276,112 @@ class TestAugmentedSystem:
             i = cond.index(("x", t, 0))
             variances.append(cond.cov[i, i])
         assert np.all(np.diff(variances) <= 1e-12)
+
+
+def reference_affine_risk(model, risk, filt, extra_x_weight=None):
+    """The affine-filter criterion as one integral over the whole (X, Y) joint.
+
+    The quadratic form, its linear term and its constant are built on every
+    signal and observation coordinate, one filter row at a time, and handed
+    to ``log_expected_exp_quadratic``; an independent route to
+    ``exact_affine_risk``.
+    """
+    joint = rf.assemble_joint(model)
+    Q, mu, N = risk.q_vector(), risk.mu, joint.dim
+    P, q, r = np.zeros((N, N)), np.zeros(N), 0.0
+    for t in range(model.horizon):
+        row = np.zeros(N)
+        row[joint.index(("x", t + 1, 0))] = 1.0
+        for l in range(t + 1):
+            row[joint.index(("y", l + 1, 0))] = -filt.gains[t, l]
+        c = filt.intercept[t]
+        P += (-mu * Q[t]) * np.outer(row, row)
+        q += (-mu * Q[t] * c) * row
+        r += 0.5 * mu * Q[t] * c**2
+        if extra_x_weight is not None:
+            e = np.zeros(N)
+            e[joint.index(("x", t + 1, 0))] = 1.0
+            P += (-mu * float(extra_x_weight[t])) * np.outer(e, e)
+    return mu * np.exp(rf.oracle.log_expected_exp_quadratic(joint.mean, joint.cov, P, q, r))
+
+
+def random_affine_filter(rng, T):
+    return rf.AffineFilter(intercept=rng.normal(size=T) * 0.3, gains=np.tril(rng.normal(size=(T, T)) * 0.3))
+
+
+def both_routes(model, risk, filt, extra=None):
+    """(reference, exact_affine_risk), each a float or the string 'diverges'."""
+    out = []
+    for fn in (reference_affine_risk, rf.oracle.exact_affine_risk):
+        try:
+            out.append(fn(model, risk, filt, extra))
+        except TransformDiverges:
+            out.append("diverges")
+    return out
+
+
+def reference_models(rng):
+    T = 6
+    c = rng.normal(size=2)
+    K2 = fgn_kernel(T, 0.7)[:, :, None, None] * (np.outer(c, c) + 0.2 * np.eye(2))
+    return {
+        "ar1": rf.build_ar1(0.8, 0.6, 0.4, 1.2, 4),
+        "fgn": rf.build_general(rng.normal(size=T) * 0.3, np.tril(fgn_kernel(T, 0.7)),
+                                rng.uniform(0.5, 1.5, T)),
+        "vector": rf.build_vector_model(rng.normal(size=(T, 2)) * 0.3, K2,
+                                        rng.uniform(0.5, 1.5, (T, 1, 2))),
+    }
+
+
+class TestAffineCriterionReference:
+    @pytest.mark.parametrize("name", ["ar1", "fgn", "vector"])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_matches_full_joint_integral(self, rng, name, extra):
+        model = reference_models(rng)[name]
+        T = model.horizon
+        for mu in (-1.0, -0.5, 0.1, 0.5):
+            # Smaller weights for mu > 0 keep most draws short of divergence.
+            scale = 1.0 if mu < 0 else 0.15
+            compared = 0
+            for _ in range(4):
+                risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.3, 1.5, T) * scale)
+                weight = rng.uniform(0.2, 1.0, T) * scale if extra else None
+                ref, got = both_routes(model, risk, random_affine_filter(rng, T), weight)
+                if ref == "diverges" or got == "diverges":
+                    assert ref == got, (mu, ref, got)
+                    continue
+                assert abs(got - ref) <= 1e-12 * abs(ref), (mu, got, ref)
+                compared += 1
+            assert compared >= 2, mu
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_divergence_boundary_agrees(self, rng, extra):
+        model = rf.build_ar1(0.9, 0.8, 0.2, 1.1, 4)
+        filt = random_affine_filter(rng, 4)
+        weight = np.full(4, 0.5) if extra else None
+        verdicts = []
+        for mu in np.linspace(0.05, 3.0, 60):
+            ref, got = both_routes(model, rf.RiskSpec(mu=mu, Q=np.ones(4)), filt, weight)
+            assert (ref == "diverges") == (got == "diverges"), (mu, ref, got)
+            if got != "diverges":
+                assert np.isfinite(got) and np.isfinite(ref)
+            verdicts.append(got == "diverges")
+        assert any(verdicts) and not all(verdicts)
+
+    def test_upper_triangle_of_gains_is_ignored(self, rng):
+        model = reference_models(rng)["fgn"]
+        risk = rf.RiskSpec(mu=-0.7, Q=np.ones(6))
+        filt = random_affine_filter(rng, 6)
+        noisy = rf.AffineFilter(intercept=filt.intercept, gains=filt.gains + np.triu(np.ones((6, 6)), 1))
+        assert rf.oracle.exact_affine_risk(model, risk, noisy) == rf.oracle.exact_affine_risk(model, risk, filt)
+
+    def test_pack_round_trip(self, rng):
+        filt = random_affine_filter(rng, 5)
+        theta = rf.oracle._pack(filt)
+        assert theta.shape == (5 + 15,)
+        back = rf.oracle._unpack(theta, 5)
+        assert np.array_equal(back.intercept, filt.intercept)
+        assert np.array_equal(back.gains, filt.gains)
 
 
 class TestMinimizeAffineRisk:
