@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, DomainError, SingularConditioning, Transf
 from .filtering import leg_filter, z_h, z_tilde
 from .model import GaussianModel, RiskSpec, sample_paths
 from .oracle import assemble_joint, log_expected_exp_quadratic
-from .volterra import VolterraSolution, solve_volterra
+from .volterra import COND_LIMIT, VolterraSolution, solve_volterra
 
 SIGMA_FLOOR = 1e-14
 
@@ -155,9 +155,9 @@ def martingale_expectation_check(model: GaussianModel, risk: RiskSpec,
 def exact_martingale_expectation(model: GaussianModel, risk: RiskSpec, filt) -> float:
     """E[M_T] as one exact Gaussian integral, for an affine causal filter.
 
-    log M_T is a quadratic form in the observation vector once the filter is
-    affine; its coefficients are extracted by evaluating the pipeline on
-    basis paths.
+    Once the filter is affine, so are the steps' pairs w_t = (Z_t - predictor_t,
+    nu_t) in Y, and log M_T = r0 - w'Dw/2 is a quadratic form in Y. The affine
+    coefficients come from one batched pass over the paths [0; I_T].
     """
     model._require_scalar()
     T = model.horizon
@@ -165,50 +165,27 @@ def exact_martingale_expectation(model: GaussianModel, risk: RiskSpec, filt) -> 
     A = model.gains1
     gbar = solution.diag
     risk0 = RiskSpec(mu=0.0, Q=np.zeros(T))
+    sol0 = solve_volterra(model, risk0)
+    gamma = sol0.diag
 
-    # Affine maps Y -> (Z - predictor) and Y -> nu, extracted on basis paths.
-    def z_minus_pred(Y):
-        Y = np.asarray(Y, dtype=float)
-        Z = z_h(model, risk, Y, filt.apply(Y), solution=solution)
-        return Z - z_h(model, risk0, Y, np.zeros(T))
+    # Row 0 of the batch gives w(0), row 1 + j gives w(0) + W e_j.
+    B = np.vstack([np.zeros(T), np.eye(T)])
+    predictor = z_h(model, risk0, B, np.zeros(T), solution=sol0)
+    w = np.hstack([z_h(model, risk, B, filt.apply(B), solution=solution) - predictor, B - A * predictor])
+    w0, W = w[0], (w[1:] - w[0]).T
 
-    def nu_map(Y):
-        Y = np.asarray(Y, dtype=float)
-        return Y - A * z_h(model, risk0, Y, np.zeros(T))
-
-    u0 = z_minus_pred(np.zeros(T))
-    v0 = nu_map(np.zeros(T))
-    U = np.zeros((T, T))
-    V = np.zeros((T, T))
-    for j in range(T):
-        e = np.zeros(T)
-        e[j] = 1.0
-        U[:, j] = z_minus_pred(e) - u0
-        V[:, j] = nu_map(e) - v0
-
-    gamma = solve_volterra(model, risk0).diag
     one_bar = 1.0 + A**2 * gbar
     one_rn = 1.0 + A**2 * gamma
-    beta = A / one_bar
-    delta = A**2 / one_bar
-    eps = A**2 * (gamma - gbar) / (one_bar * one_rn)
-    const = float(np.sum(0.5 * (np.log(one_rn) - np.log(one_bar))))
-
-    P = np.zeros((T, T))
-    q = np.zeros(T)
-    r = const
-    for t in range(T):
-        ut, vt = U[t], V[t]
-        P += delta[t] * np.outer(ut, ut) + eps[t] * np.outer(vt, vt)
-        P -= beta[t] * (np.outer(ut, vt) + np.outer(vt, ut))
-        q += beta[t] * (u0[t] * vt + v0[t] * ut) - delta[t] * u0[t] * ut - eps[t] * v0[t] * vt
-        r += beta[t] * u0[t] * v0[t] - 0.5 * delta[t] * u0[t] ** 2 - 0.5 * eps[t] * v0[t] ** 2
+    beta = np.diag(A / one_bar)
+    D = np.block([[np.diag(A**2 / one_bar), -beta],
+                  [-beta, np.diag(A**2 * (gamma - gbar) / (one_bar * one_rn))]])
+    r = float(np.sum(0.5 * (np.log(one_rn) - np.log(one_bar)))) - 0.5 * w0 @ D @ w0
 
     joint = assemble_joint(model)
     y_idx = joint.indices("y")
     meanY = joint.mean[y_idx]
     covY = joint.cov[np.ix_(y_idx, y_idx)]
-    return float(np.exp(log_expected_exp_quadratic(meanY, covY, P, q, r)))
+    return float(np.exp(log_expected_exp_quadratic(meanY, covY, W.T @ D @ W, -W.T @ D @ w0, r)))
 
 
 @dataclass(frozen=True)
@@ -296,7 +273,7 @@ def _raw_condition(mean, cov, obs, vals):
     if not keep:
         return rest, mean[rest].copy(), cov[np.ix_(rest, rest)].copy()
     Soo = cov[np.ix_(keep, keep)]
-    if np.linalg.cond(Soo) > 1e12:
+    if np.linalg.cond(Soo) > COND_LIMIT:
         raise SingularConditioning("observed block is numerically singular")
     Sro = cov[np.ix_(rest, keep)]
     sol = np.linalg.solve(Soo, vals - mean[keep])

@@ -16,12 +16,12 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, InconsistentRecursion, SingularInnovationMatrix
 from .model import GaussianModel, RiskSpec, _as_sequence
 from .volterra import (
+    COND_LIMIT,
     VolterraSolution,
     ar1_riccati,
     ma1_gamma,
     solve_volterra,
     solve_volterra_correlated,
-    solve_volterra_matrix,
 )
 
 ZTILDE_RAISE_TOL = 1e-9
@@ -291,10 +291,7 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
     m = 1.
     """
     if solution is None:
-        if model.cross_cov is None:
-            solution = solve_volterra_matrix(model, risk)
-        else:
-            solution = solve_volterra_correlated(model, risk)
+        solution = solve_volterra_correlated(model, risk)
     solution.require_feasible()
     T, n, m = model.horizon, model.n, model.m
     Y = np.asarray(Y, dtype=float)
@@ -311,7 +308,7 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
     acc = model.mean.copy()  # row t: m_t plus the innovation terms of the steps l < t done so far
     for l in range(T):
         M = np.eye(m) + A[l] @ C[l, l]
-        if np.linalg.cond(M) > 1e12:
+        if np.linalg.cond(M) > COND_LIMIT:
             raise SingularInnovationMatrix(
                 f"observation gain denominator at step {l + 1} is singular", step=l + 1
             )
@@ -321,6 +318,6 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
         h[l] = np.linalg.solve(np.eye(n) + G[0] @ A[l], acc[l] + G[0] @ Y[l])
         acc[l + 1 :] += G[1:] @ (Y[l] - A[l] @ h[l])
 
-    diag = np.stack([gam[t, t] for t in range(T)])
+    diag = solution.diag
     run = FilterRun(h_bar=h[:, 0] if n == 1 else h, gamma_bar_diag=diag[:, 0, 0] if n == 1 else diag)
     return run

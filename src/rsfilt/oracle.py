@@ -23,9 +23,8 @@ from .errors import (
 )
 from .filtering import AffineFilter, leg_filter, risk_neutral_filter
 from .model import GaussianModel, RiskSpec, build_ar1, check_psd
-from .volterra import solve_volterra
+from .volterra import COND_LIMIT, solve_volterra
 
-COND_LIMIT = 1e12
 DIVERGE_TOL = 1e-12
 DEGENERATE_VAR = 1e-14
 

@@ -1,9 +1,11 @@
 """Two-index Riccati recursions for prediction-error covariance tables.
 
 ``solve_volterra`` fills the lower-triangular table gbar(t, s) for a scalar
-model under the weighted exponential criterion; ``solve_volterra_matrix`` and
-``solve_volterra_correlated`` are the vector-valued and correlated-noise
-generalizations. For mu = 0 the table reduces to the risk-neutral one-step
+model under the weighted exponential criterion. ``solve_volterra_correlated``
+is the one vector-valued kernel: it conditions on the observations and on the
+auxiliary rows of the weight -mu Q, correlated noise allowed.
+``solve_volterra_matrix`` is its entry point for models without a
+cross-covariance. For mu = 0 the table reduces to the risk-neutral one-step
 prediction-error covariances, and for mu < 0 the recursion is always feasible.
 """
 
@@ -124,39 +126,6 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     )
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def _feasibility_matrix(g: np.ndarray, S: np.ndarray):
-    """Check gbar_t PSD and the positive spectrum of I + S gbar_t.
-
-    Returns the violated clause name, or None when the step is feasible.
-    """
-    scale = max(float(np.trace(g)), 1.0)
-    if np.linalg.eigvalsh((g + g.T) / 2)[0] < -FEAS_TOL * scale:
-        return CLAUSE_DIAG
-    rt = _psd_sqrt(g)
-    M = np.eye(g.shape[0]) + rt @ S @ rt
-    if np.linalg.eigvalsh((M + M.T) / 2)[0] <= FEAS_TOL:
-        return CLAUSE_DENOM
-    return None
-
-
-def _innovation_weight(g: np.ndarray, S: np.ndarray, step: int) -> np.ndarray:
-    """W = S (I + gbar S)^{-1}, the symmetric correction weight of one step."""
-    n = g.shape[0]
-    M = np.eye(n) + g @ S
-    if np.linalg.cond(M) > COND_LIMIT:
-        raise SingularInnovationMatrix(
-            f"innovation block at step {step} is singular (condition number > {COND_LIMIT:.0e})",
-            step=step,
-        )
-    W = np.linalg.solve(M.T, S.T).T
-    return (W + W.T) / 2
-
-
 def _lower_blocks(work: np.ndarray, T: int, n: int, filled: int) -> np.ndarray:
     """The flat (T*n, T*n) table as (T, T, n, n) blocks, zero above the diagonal
     and in every column from ``filled`` on."""
@@ -169,77 +138,36 @@ def _lower_blocks(work: np.ndarray, T: int, n: int, filled: int) -> np.ndarray:
 def solve_volterra_matrix(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     """Vector-valued covariance recursion with independent observation noise.
 
-    The per-step correction weight is W_l = S_l (I + gbar_l S_l)^{-1} with
-    S_l = A_l'A_l - mu Q_l, which reduces entrywise to the scalar recursion
-    when n = m = 1. Right-looking elimination on the flat (T*n, T*n) table:
-    once column s is final and its step is checked, every later entry gets
-    that step's correction U W_s U' in one matrix product.
+    The no-cross-covariance entry point of ``solve_volterra_correlated``, whose
+    step correction with C = 0 is U W_l U' with W_l = S_l (I + gbar_l S_l)^{-1},
+    S_l = A_l'A_l - mu Q_l; for n = m = 1 this is the scalar recursion.
     """
     if model.cross_cov is not None:
         raise SingularInnovationMatrix(
             "model has correlated noise; use solve_volterra_correlated"
         )
-    T, n = model.horizon, model.n
-    S = risk.s_values(model.gains)
-
-    work = model.flat_cov().copy()
-    feasible, violation, clause = True, None, None
-    for s in range(T):
-        a, b = s * n, (s + 1) * n
-        g = work[a:b, a:b]
-        clause = _feasibility_matrix(g, S[s])
-        if clause is not None:
-            feasible, violation = False, s + 1
-            break
-        U = work[b:, a:b]
-        work[b:, b:] -= U @ _innovation_weight(g, S[s], s + 1) @ U.T
-    return VolterraSolution(
-        gamma_bar=_lower_blocks(work, T, n, violation or T), S=S, mu=risk.mu, feasible=feasible,
-        first_violation=violation, violated_clause=clause if not feasible else None,
-    )
-
-
-def _aux_rows(Qp):
-    """Nondegenerate directions of the auxiliary (squared-error) observations.
-
-    Diagonalizing the weight block Qp = sum_i lam_i u_i u_i' turns the
-    auxiliary observations into one row lam_i u_i' per nonzero eigenvalue,
-    with independent noises of variance lam_i; zero directions carry no
-    information and are dropped.
-    """
-    vals, vecs = np.linalg.eigh((Qp + Qp.T) / 2)
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    keep = np.abs(vals) > FEAS_TOL * scale
-    R = vals[keep][:, None] * vecs[:, keep].T
-    return R, np.diag(vals[keep])
-
-
-def _innovation_cov(A, Css, R, Naux, g):
-    """Covariance V_s of step s's innovation: the observation row A (noise
-    cross-covariance Css) stacked over the auxiliary rows R (noise Naux)."""
-    m = A.shape[0]
-    V = np.zeros((m + R.shape[0],) * 2)
-    V[:m, :m] = np.eye(m) + A @ g @ A.T + A @ Css + Css.T @ A.T
-    V[:m, m:] = (A @ g + Css.T) @ R.T
-    V[m:, :m] = V[:m, m:].T
-    V[m:, m:] = R @ g @ R.T + Naux
-    return V
+    return solve_volterra_correlated(model, risk)
 
 
 def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     """Covariance recursion with signal/observation-noise correlation.
 
-    Uses the exact conditioning update with per-step innovation covariance
-    built from the observation row and the eigen-reduced auxiliary rows of
-    the weight block -mu Q_l; with zero cross-covariance this agrees with
-    ``solve_volterra_matrix``. Right-looking elimination on the flat
-    (T*n, T*n) table: once column s is final and its step is checked, every
-    later entry gets that step's correction U V_s^{-1} U' from one solve and
-    one matrix product.
+    gbar(t, s) is the covariance of X_t and X_s given the observations and the
+    auxiliary (squared-error) observations before step s. Diagonalizing the
+    weight block -mu Q_s = sum_i lam_i u_i u_i' gives one auxiliary row
+    lam_i u_i' per nonzero lam_i, with independent noise of variance lam_i.
+    Step s observes the stacked rows H_s = [A_s; R_s], whose innovation
+    covariance is V_s = H g H' + E + E' + diag(1, lam) with E = H [C_ss | 0].
+    Right-looking elimination on the flat (T*n, T*n) table: once column s is
+    final and its step is checked, every later entry gets that step's
+    correction U V_s^{-1} U', U = col H' + [C_s | 0], from one solve and one
+    matrix product.
     """
     T, n, m = model.horizon, model.n, model.m
     Qp = -risk.mu * risk.q_blocks(n)
     S = risk.s_values(model.gains)
+    lam, vecs = np.linalg.eigh((Qp + Qp.transpose(0, 2, 1)) / 2)
+    keep = np.abs(lam) > FEAS_TOL * np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1.0)
 
     work = model.flat_cov().copy()
     C = model.flat_cross()
@@ -251,10 +179,15 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
         if np.linalg.eigvalsh((g + g.T) / 2)[0] < -FEAS_TOL * gscale:
             feasible, violation, clause = False, s + 1, CLAUSE_DIAG
             break
-        A, Cs = model.gains[s], C[:, s * m : (s + 1) * m]
-        R, Naux = _aux_rows(Qp[s])
-        V = _innovation_cov(A, Cs[a:b], R, Naux, g)
-        if np.linalg.cond(V) > COND_LIMIT:
+        aux = lam[s, keep[s]]
+        H = np.concatenate([model.gains[s], aux[:, None] * vecs[s][:, keep[s]].T])
+        Cs = C[:, s * m : (s + 1) * m]
+        E = np.zeros((len(H),) * 2)
+        E[:, :m] = H @ Cs[a:b]
+        V = np.diag(np.concatenate([np.ones(m), aux])) + H @ g @ H.T + E + E.T
+        eig = np.linalg.eigvalsh((V + V.T) / 2)
+        # cond(V_s) = |eig|max / |eig|min, written so that V_s = 0 is caught too
+        if np.abs(eig).max() >= COND_LIMIT * np.abs(eig).min():
             raise SingularInnovationMatrix(
                 f"innovation covariance at step {s + 1} is singular", step=s + 1
             )
@@ -264,13 +197,13 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
         # variances, none for mu <= 0. This is 1 + S gbar > 0 in the scalar
         # case; unlike the sign of det V_s it sees two eigenvalues of
         # I + S gbar turning negative at one step.
-        nonpositive = np.count_nonzero(np.linalg.eigvalsh((V + V.T) / 2) <= FEAS_TOL)
-        if nonpositive != np.count_nonzero(Naux < 0):  # Naux is diagonal
+        if np.count_nonzero(eig <= FEAS_TOL) != np.count_nonzero(aux < 0):
             feasible, violation, clause = False, s + 1, CLAUSE_DENOM
             break
-        col = work[b:, a:b]
-        U = np.concatenate([col @ A.T + Cs[b:], col @ R.T], axis=1)
-        work[b:, b:] -= U @ np.linalg.solve(V, U.T)
+        U = work[b:, a:b] @ H.T
+        U[:, :m] += Cs[b:]
+        # np.dot, not @: numpy's @ skips BLAS when the inner dimension is 1 (mu = 0).
+        work[b:, b:] -= np.dot(U, np.linalg.solve(V, U.T))
 
     return VolterraSolution(
         gamma_bar=_lower_blocks(work, T, n, violation or T), S=S, mu=risk.mu, feasible=feasible,

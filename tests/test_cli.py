@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def test_filter_infeasible_exit_code(config_path, capsys):
 
 
 def test_filter_does_not_mutate_config(config_path):
-    before = open(config_path).read()
+    before = Path(config_path).read_text()
     run(["filter", "--config", config_path])
-    assert open(config_path).read() == before
+    assert Path(config_path).read_text() == before
 
 
 def test_round_trip_filter_json_as_custom_spec(config_path, tmp_path, capsys):
@@ -156,7 +157,7 @@ def test_simulate_batch_csv(config_path, tmp_path, capsys):
     assert run([
         "simulate", "--config", config_path, "--paths", "4096", "--batch-csv", str(out)
     ]) == 0
-    rows = list(csv.reader(open(out)))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["batch", "partial_sum"]
     assert len(rows) > 1
 
@@ -350,5 +351,5 @@ def test_fuzz_one_bad_entry(site, value, fmt, to_file):
                 assert "config error at " in stderr.getvalue(), (verb, stderr.getvalue())
             written = stdout.getvalue()
             if to_file and rc == 0:
-                written += open(out_file).read()
+                written += Path(out_file).read_text()
             assert not NON_FINITE.search(written), (verb, written)

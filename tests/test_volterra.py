@@ -33,6 +33,43 @@ def oracle_prediction_table(model, risk, h=None):
     return out
 
 
+def dense_verdict(model, risk):
+    """(feasible, first_violation, clause) and the gbar table from the dense
+    (X, Y, aux) joint of a model with independent observation noise.
+
+    aux_t = Qp_t X_t + N(0, Qp_t) with Qp = -mu Q, a negative "variance" for
+    mu > 0, so the joint is indefinite and is conditioned by raw Schur
+    complements (``rf.condition`` drops observations of negative variance).
+    By inertia additivity the steps through s are feasible exactly when the
+    observation block of steps 1..s has as many negative eigenvalues as the
+    Qp_t blocks of those steps. Columns after the first violation stay zero.
+    """
+    T, n, m = model.horizon, model.n, model.m
+    K = model.flat_cov()
+    Qp = -risk.mu * risk.q_blocks(n)
+
+    def blocks(B):  # block diagonal of the (T, p, q) stack B
+        return (np.eye(T)[:, None, :, None] * B[:, :, None, :]).reshape(T * B.shape[1], T * B.shape[2])
+
+    O = np.vstack([blocks(model.gains), blocks(Qp)])  # rows: Y_1..Y_T, then aux_1..aux_T
+    noise = np.zeros((T * (m + n),) * 2)
+    noise[: T * m, : T * m] = np.eye(T * m)
+    noise[T * m :, T * m :] = blocks(Qp)
+    cov_xo, cov_oo = K @ O.T, O @ K @ O.T + noise
+    obs, negative, table = [], 0, np.zeros((T, T, n, n))
+    for s in range(T):
+        x = slice(s * n, (s + 1) * n)
+        col = K[:, x] - cov_xo[:, obs] @ np.linalg.solve(cov_oo[np.ix_(obs, obs)], cov_xo[x, obs].T)
+        table[s:, s] = col[s * n :].reshape(T - s, n, n)
+        if np.linalg.eigvalsh(table[s, s])[0] < -1e-12 * max(np.trace(table[s, s]), 1.0):
+            return (False, s + 1, CLAUSE_DIAG), table
+        obs += [*range(s * m, (s + 1) * m), *range(T * m + s * n, T * m + (s + 1) * n)]
+        negative += np.count_nonzero(np.linalg.eigvalsh(Qp[s]) < 0)
+        if np.count_nonzero(np.linalg.eigvalsh(cov_oo[np.ix_(obs, obs)]) < 0) != negative:
+            return (False, s + 1, CLAUSE_DENOM), table
+    return (True, None, None), table
+
+
 class TestScalarSolver:
     def test_base_case(self, rng):
         model = random_scalar_model(rng, 3)
@@ -238,12 +275,11 @@ class TestCorrelatedSolver:
         vec0 = rf.build_vector_model(
             model.mean1, np.tril(model.cov2), model.gains1, np.zeros((T, T))
         )
-        vec = rf.build_vector_model(model.mean1, np.tril(model.cov2), model.gains1)
         risk = rf.RiskSpec(mu=-1.0, Q=rng.uniform(0.2, 1.0, T))
         s_cr = rf.solve_volterra_correlated(vec0, risk)
-        s_mx = rf.solve_volterra_matrix(vec, risk)
-        err = np.abs(s_cr.gamma_bar - s_mx.gamma_bar)
-        assert np.max(err) <= 1e-14 * max(1.0, float(np.max(np.abs(s_mx.gamma_bar))))
+        s_sc = rf.solve_volterra(model, risk)
+        err = np.abs(s_cr.gamma_bar[:, :, 0, 0] - s_sc.gamma_bar)
+        assert np.max(err) <= 1e-14 * max(1.0, float(np.max(np.abs(s_sc.gamma_bar))))
 
     def test_positive_mu_scalar_reduction(self, rng):
         T = 3
@@ -348,7 +384,7 @@ class TestCorrelatedSolver:
         # Two signal components with fGn and geometric kernels. For mu > 0
         # two eigenvalues of I + S_t gbar_t can turn negative at one step,
         # which leaves the sign of det V_s unchanged; the verdict must still
-        # be the matrix solve's.
+        # be the dense joint's.
         T = 20
         rng = np.random.default_rng(seed)
         c = rng.normal(size=2)
@@ -359,12 +395,10 @@ class TestCorrelatedSolver:
         q = rng.uniform(0.5, 1.5, T)
         for mu in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
             risk = rf.RiskSpec(mu=mu, Q=q[:, None, None] * np.eye(2))
-            want = rf.solve_volterra_matrix(model, risk)
-            got = rf.solve_volterra_correlated(model, risk)
-            assert (got.feasible, got.first_violation, got.violated_clause) == (
-                want.feasible, want.first_violation, want.violated_clause), mu
-            if want.feasible:
-                assert_allclose(got.gamma_bar, want.gamma_bar, rtol=1e-9, atol=1e-9)
+            want, table = dense_verdict(model, risk)
+            got = rf.solve_volterra_matrix(model, risk)
+            assert (got.feasible, got.first_violation, got.violated_clause) == want, mu
+            assert_allclose(got.gamma_bar, table, rtol=1e-9, atol=1e-9)
 
     def test_scalar_correlated_toy_matches_oracle(self):
         T = 2
