@@ -228,10 +228,8 @@ def info_state(model: GaussianModel, risk: RiskSpec, Y, h, t: int,
     partial = float(np.sum(dec.step_log_scale[: t - 1] + dec.step_exponent[: t - 1]))
     log_weight = partial + float(dec.log_M[t - 1])
     center = float(dec.z_tilde[t - 1])
-    sol = solution if solution is not None else solve_volterra(model, risk)
-    A = model.gains1
-    g = sol.diag
-    variance = float(g[t - 1] / (1.0 + A[t - 1] ** 2 * g[t - 1]))
+    g, A = dec.gamma_bar[t - 1], model.gains1[t - 1]
+    variance = float(g / (1.0 + A**2 * g))
     if variance <= 0:
         raise DomainError(f"filtered variance at step {t} is not positive")
     return InfoStateDensity(center=center, variance=variance, log_weight=log_weight)

@@ -51,12 +51,15 @@ def _load_config(path: str) -> dict:
 
 
 def _scalar_only(model, args):
-    """Every verb but validate takes scalar models (n = m = 1) only."""
+    """Every verb but validate takes scalar models (n = m = 1) only; filter,
+    risk and cm also need independent observation noise."""
     if args.verb != "validate" and not model.is_scalar:
         raise ConfigError(
             f"{args.verb} needs a scalar model, this one has signal and observation dims {model.dims}",
             field="model.kind",
         )
+    if args.verb in ("filter", "risk", "cm") and model.cross_cov is not None:
+        raise ConfigError(f"{args.verb} needs independent observation noise", field="model.K_Xeps")
     return model
 
 

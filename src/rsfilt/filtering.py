@@ -4,7 +4,8 @@
 ``E mu exp{(mu/2) sum_t Q_t (X_t - h_t)^2}`` over causal filters, together
 with the auxiliary processes that factorize the conditional Laplace
 transform. All scalar routines accept a batch of observation paths: ``Y``
-may have any leading shape as long as its last axis is the horizon.
+may have any leading shape as long as its last axis is the horizon;
+``filter_correlated`` takes batches of (T, m) paths the same way.
 """
 
 from __future__ import annotations
@@ -142,13 +143,22 @@ def optimal_risk(solution: VolterraSolution, risk: RiskSpec, A) -> float:
 
 
 def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution | None = None) -> AffineFilter:
-    """The optimal filter as its causal affine map h = c + F Y.
+    """The optimal filter as its causal affine map h = c + F Y, for every model kind.
 
-    With G = tril(gbar) the filter solves (I + G diag(A^2)) h = m + G diag(A) Y,
-    so every column of [c | F] comes from one forward substitution on that
-    system with right-hand side [m | G diag(A)].
+    On a scalar model without cross-covariance, with G = tril(gbar), the filter
+    solves (I + G diag(A^2)) h = m + G diag(A) Y, and [c | F] comes from one
+    forward substitution with right-hand side [m | G diag(A)]. Any other model
+    runs ``_block_solve`` on the columns [m | I_{Tm}]; rows and columns of the
+    map are then in (t, component) order, as in ``flat_mean()``.
     """
-    model._require_scalar()
+    if not model.is_scalar or model.cross_cov is not None:
+        sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
+        T, n, m = model.horizon, model.n, model.m
+        M = np.zeros((1 + T * m, T, n))
+        M[0] = model.mean
+        Y = np.eye(1 + T * m, T * m, k=-1).reshape(-1, T, m)
+        cF = _block_solve(model, sol, M, Y).reshape(-1, T * n).T
+        return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
     sol = _scalar_solution(model, risk, solution)
     A, g = model.gains1, sol.diag
     R = np.column_stack([model.mean1, np.diag(A * g)])
@@ -282,42 +292,53 @@ def _filter_run(h, A, g, S, mu, Y) -> FilterRun:
     )
 
 
-def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSolution | None = None) -> FilterRun:
-    """Optimal filter for vector-valued models, correlated noise allowed.
+def _block_solve(model: GaussianModel, solution: VolterraSolution, M, Y) -> np.ndarray:
+    """Forward substitution of the vector filter for k right-hand-side columns.
 
-    h_t = m_t + sum_{l<=t} [C(t,l) + g(t,l) A_l'] [I + A_l C(l,l)]^{-1}
-    (Y_l - A_l h_l); the l = t term is solved implicitly. The gains of step l
-    to every target t >= l come from one solve. ``Y`` is (T, m) or (T,) for
-    m = 1.
+    h_t = M_t + sum_{l<=t} [C(t,l) + g(t,l) A_l'] [I + A_l C(l,l)]^{-1}
+    (Y_l - A_l h_l) for mean columns M (k, T, n), or (T, n) shared by all, and
+    observation columns Y (k, T, m); returns h (k, T, n). The l = t term is
+    solved implicitly, per column, so for m = 1 no column's result depends on
+    the others. The gains of step l to every target t >= l come from one solve.
     """
-    if solution is None:
-        solution = solve_volterra_correlated(model, risk)
-    solution.require_feasible()
     T, n, m = model.horizon, model.n, model.m
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape == (T,) and m == 1:
-        Y = Y[:, None]
-    if Y.shape != (T, m):
-        raise DimensionMismatch(f"observations must have shape {(T, m)}, got {Y.shape}")
-
     gam = solution.gamma_bar
     A = model.gains
     C = model.cross_cov if model.cross_cov is not None else np.zeros((T, T, n, m))
+    D = np.eye(m) + A @ C.diagonal().transpose(2, 0, 1)  # D_l = I + A_l C(l,l), the gain denominators
+    singular = np.flatnonzero(np.linalg.cond(D) > COND_LIMIT)
+    if singular.size:
+        step = int(singular[0]) + 1
+        raise SingularInnovationMatrix(f"observation gain denominator at step {step} is singular", step=step)
 
-    h = np.zeros((T, n))
-    acc = model.mean.copy()  # row t: m_t plus the innovation terms of the steps l < t done so far
+    eye_n = np.eye(n)
+    h = np.zeros((len(Y), T, n))
+    # columns (t, component): m_t plus the innovation terms of the steps l < t done so far
+    acc = np.array(np.broadcast_to(M, h.shape)).reshape(len(Y), T * n)
     for l in range(T):
-        M = np.eye(m) + A[l] @ C[l, l]
-        if np.linalg.cond(M) > COND_LIMIT:
-            raise SingularInnovationMatrix(
-                f"observation gain denominator at step {l + 1} is singular", step=l + 1
-            )
-        # Gains [C(t,l) + g(t,l) A_l'] M^{-1} of every target t >= l, from one solve.
+        # Gains [C(t,l) + g(t,l) A_l'] D_l^{-1} of every target t >= l, from one
+        # solve, transposed to (m, (T - l) * n).
         N = C[l:, l] + gam[l:, l] @ A[l].T
-        G = np.linalg.solve(M.T, N.reshape(-1, m).T).T.reshape(T - l, n, m)
-        h[l] = np.linalg.solve(np.eye(n) + G[0] @ A[l], acc[l] + G[0] @ Y[l])
-        acc[l + 1 :] += G[1:] @ (Y[l] - A[l] @ h[l])
+        G = np.linalg.solve(D[l].T, N.reshape(-1, m).T)
+        rhs = acc[:, l * n : (l + 1) * n] + Y[:, l] @ G[:, :n]
+        h[:, l] = np.linalg.solve(eye_n + G[:, :n].T @ A[l], rhs[:, :, None])[:, :, 0]
+        acc[:, (l + 1) * n :] += (Y[:, l] - (A[l] @ h[:, l, :, None])[:, :, 0]) @ G[:, n:]
+    return h
 
-    diag = solution.diag
-    run = FilterRun(h_bar=h[:, 0] if n == 1 else h, gamma_bar_diag=diag[:, 0, 0] if n == 1 else diag)
-    return run
+
+def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSolution | None = None) -> FilterRun:
+    """Optimal filter for vector-valued models, correlated noise allowed.
+
+    ``Y`` is one path of shape (T, m), or (T,) for m = 1, or a batch of
+    them on leading axes; each path is one column of ``_block_solve``.
+    ``h_bar`` has shape (..., T, n), or (..., T) for n = 1.
+    """
+    sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
+    T, n, m = model.horizon, model.n, model.m
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape[-2:] != (T, m) and m == 1 and Y.shape[-1:] == (T,):
+        Y = Y[..., None]
+    if Y.shape[-2:] != (T, m):
+        raise DimensionMismatch(f"observations must have shape (..., {T}, {m}), got {Y.shape}")
+    h = _block_solve(model, sol, model.mean, Y.reshape(-1, T, m)).reshape(Y.shape[:-2] + (T, n))
+    return FilterRun(h_bar=h[..., 0] if n == 1 else h, gamma_bar_diag=sol.diag[:, 0, 0] if n == 1 else sol.diag)

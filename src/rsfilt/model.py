@@ -116,11 +116,6 @@ class GaussianModel:
         self._require_scalar()
         return self.gains[:, 0, 0]
 
-    @property
-    def cross2(self) -> np.ndarray | None:
-        self._require_scalar()
-        return None if self.cross_cov is None else self.cross_cov[:, :, 0, 0]
-
     def flat_mean(self) -> np.ndarray:
         """Signal mean flattened to (T*n,), ordered (t, component)."""
         return self.mean.reshape(-1)

@@ -21,9 +21,9 @@ from .errors import (
     SingularConditioning,
     TransformDiverges,
 )
-from .filtering import AffineFilter, leg_filter, risk_neutral_filter
+from .filtering import AffineFilter, leg_affine
 from .model import GaussianModel, RiskSpec, build_ar1, check_psd
-from .volterra import COND_LIMIT, solve_volterra
+from .volterra import COND_LIMIT
 
 DIVERGE_TOL = 1e-12
 DEGENERATE_VAR = 1e-14
@@ -431,17 +431,15 @@ def minimize_affine_risk(model: GaussianModel, risk: RiskSpec, extra_x_weight=No
     """Brute-force minimization of the exponential criterion over causal affine filters.
 
     Starts the compass search from the risk-neutral filter's coefficients
-    (plus perturbed restarts) and returns (AffineFilter, risk value).
+    for the first signal component (plus perturbed restarts) and returns
+    (AffineFilter, risk value).
     """
     if model.m != 1:
         raise DimensionMismatch("affine-risk minimization requires scalar observations")
     T = model.horizon
-
-    def neutral(Y):
-        h = risk_neutral_filter(model, Y)
-        return h if model.n == 1 else h[:, 0]
-
-    start = affine_from_filter(neutral, T)
+    neutral = leg_affine(model, RiskSpec(mu=0.0, Q=np.zeros(T)))
+    first = np.arange(T) * model.n
+    start = AffineFilter(intercept=neutral.intercept[first], gains=neutral.gains[first])
     if extra_x_weight is None and not np.any(risk.q_vector()):
         return start, risk.mu  # flat objective
 
@@ -544,12 +542,7 @@ def leg_vs_rs_example(T: int, bruteforce: bool | None = None) -> dict:
     risk = RiskSpec(mu=-1.0, Q=np.ones(T))
 
     def first_coeff(model):
-        sol = solve_volterra(model, risk)
-        e1 = np.zeros(T)
-        e1[0] = 1.0
-        run1 = leg_filter(model, risk, e1, solution=sol)
-        run0 = leg_filter(model, risk, np.zeros(T), solution=sol)
-        return float(run1.h_bar[0] - run0.h_bar[0])
+        return float(leg_affine(model, risk).gains[0, 0])
 
     hbar1_zero_terminal = first_coeff(model_zero)
     hbar1_exact_model = first_coeff(model_exact)

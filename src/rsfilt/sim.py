@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OverflowDominated
-from .filtering import AffineFilter, leg_affine, risk_neutral_filter
+from .filtering import AffineFilter, leg_affine
 from .model import (
     GaussianModel, RiskSpec, _finite, _integer, _joint_factor, model_from_config, risk_from_config, seed_from_config,
 )
-from .oracle import affine_from_filter
 
 EXP_CAP = 700.0
 OVERFLOW_FRACTION = 1e-3
@@ -112,11 +111,8 @@ class RiskEstimate:
 def _resolve_filter(config: ExperimentConfig) -> AffineFilter:
     if config.filter_kind == "custom":
         return config.custom
-    model, risk = config.model, config.risk
-    if config.filter_kind == "risk_neutral":
-        if model.cross_cov is not None:  # correlated noise: probe the general (affine) filter
-            return affine_from_filter(lambda y: risk_neutral_filter(model, y), model.horizon)
-        risk = RiskSpec(mu=0.0, Q=np.zeros(model.horizon))
+    model = config.model
+    risk = config.risk if config.filter_kind == "leg" else RiskSpec(mu=0.0, Q=np.zeros(model.horizon))
     return leg_affine(model, risk)
 
 

@@ -211,6 +211,40 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     )
 
 
+def _denominator(name, Sg, step):
+    """1 + S gbar of one step, which must be positive."""
+    denom = 1.0 + Sg
+    if denom <= FEAS_TOL:
+        raise InfeasibleCondition(
+            f"{name} recursion denominator vanished at step {step}",
+            first_violation=step, clause=CLAUSE_DENOM,
+        )
+    return denom
+
+
+def _diagonal_recursion(name, S, first, update) -> np.ndarray:
+    """out[0] = first and out[t] = update(t, out[t-1], 1 + S[t-1] out[t-1]) for t >= 1 (0-based).
+
+    Raises ``InfeasibleCondition`` at the first step whose denominator is not
+    positive or whose variance is negative, and when 1 + S_T gbar_T is not
+    positive.
+    """
+    T = S.shape[0]
+    out = np.zeros(T)
+    g = first
+    for t in range(T):
+        if t > 0:
+            g = update(t, g, _denominator(name, S[t - 1] * g, t + 1))
+        if g < -FEAS_TOL:
+            raise InfeasibleCondition(
+                f"{name} recursion produced a negative variance at step {t + 1}",
+                first_violation=t + 1, clause=CLAUSE_DIAG,
+            )
+        out[t] = g
+    _denominator(name, S[T - 1] * g, T)
+    return out
+
+
 def ar1_riccati(a, D, A, Q, mu, T) -> np.ndarray:
     """One-dimensional Riccati recursion for the AR(1) signal.
 
@@ -224,28 +258,7 @@ def ar1_riccati(a, D, A, Q, mu, T) -> np.ndarray:
     if np.any(D < 0):
         raise NegativeVariance("innovation variances D must be nonnegative")
     S = A**2 - mu * Q
-    out = np.zeros(T)
-    prev = 0.0
-    for s in range(T):
-        denom = 1.0 + (S[s - 1] * prev if s > 0 else 0.0)
-        if denom <= FEAS_TOL:
-            raise InfeasibleCondition(
-                f"AR(1) recursion denominator vanished at step {s + 1}",
-                first_violation=s + 1, clause=CLAUSE_DENOM,
-            )
-        prev = D[s] + a[s] ** 2 * prev / denom
-        if prev < -FEAS_TOL:
-            raise InfeasibleCondition(
-                f"AR(1) recursion produced a negative variance at step {s + 1}",
-                first_violation=s + 1, clause=CLAUSE_DIAG,
-            )
-        out[s] = prev
-    if 1.0 + S[T - 1] * out[T - 1] <= FEAS_TOL:
-        raise InfeasibleCondition(
-            f"AR(1) recursion denominator vanished at step {T}",
-            first_violation=T, clause=CLAUSE_DENOM,
-        )
-    return out
+    return _diagonal_recursion("AR(1)", S, D[0], lambda t, g, denom: D[t] + a[t] ** 2 * g / denom)
 
 
 def ma1_gamma(lam, A, Q, mu, T) -> np.ndarray:
@@ -259,24 +272,6 @@ def ma1_gamma(lam, A, Q, mu, T) -> np.ndarray:
     A = _as_sequence(A, T, "A")
     Q = _as_sequence(Q, T, "Q")
     S = A**2 - mu * Q
-    out = np.zeros(T)
-    out[0] = 1.0 + lam**2
-    for t in range(1, T):
-        denom = 1.0 + S[t - 1] * out[t - 1]
-        if denom <= FEAS_TOL:
-            raise InfeasibleCondition(
-                f"MA(1) recursion denominator vanished at step {t + 1}",
-                first_violation=t + 1, clause=CLAUSE_DENOM,
-            )
-        out[t] = 1.0 + lam**2 - lam**2 * S[t - 1] / denom
-        if out[t] < -FEAS_TOL:
-            raise InfeasibleCondition(
-                f"MA(1) recursion produced a negative variance at step {t + 1}",
-                first_violation=t + 1, clause=CLAUSE_DIAG,
-            )
-    if 1.0 + S[T - 1] * out[T - 1] <= FEAS_TOL:
-        raise InfeasibleCondition(
-            f"MA(1) recursion denominator vanished at step {T}",
-            first_violation=T, clause=CLAUSE_DENOM,
-        )
-    return out
+    return _diagonal_recursion(
+        "MA(1)", S, 1.0 + lam**2, lambda t, g, denom: 1.0 + lam**2 - lam**2 * S[t - 1] / denom
+    )

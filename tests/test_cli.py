@@ -353,3 +353,17 @@ def test_fuzz_one_bad_entry(site, value, fmt, to_file):
             if to_file and rc == 0:
                 written += Path(out_file).read_text()
             assert not NON_FINITE.search(written), (verb, written)
+
+
+def test_correlated_scalar_model_verbs(tmp_path, capsys):
+    """filter, risk and cm need independent noise and name K_Xeps; Monte Carlo takes the model."""
+    cfg = {"model": FUZZ_MODELS["vector"], **FUZZ_TOP, "filter": {"kind": "leg"}}
+    p = tmp_path / "correlated.json"
+    p.write_text(json.dumps(cfg))
+    for verb in ("filter", "risk", "cm"):
+        assert run([verb, "--config", str(p)]) == 1, verb
+        err = capsys.readouterr().err
+        assert "config error at model.K_Xeps:" in err and verb in err, (verb, err)
+    for verb in ("simulate", "compare"):
+        assert run([verb, "--config", str(p)]) == 0, verb
+        assert "NaN" not in capsys.readouterr().out

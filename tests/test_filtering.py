@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
-from rsfilt.errors import DomainError, InfeasibleCondition
+from rsfilt.errors import DomainError, InfeasibleCondition, SingularInnovationMatrix
 
 from conftest import fgn_kernel, random_causal_h, random_scalar_model
 
@@ -328,6 +328,15 @@ class TestCorrelatedFilter:
         assert_allclose(fit.intercept, ref.intercept, atol=1e-6)
         assert_allclose(fit.gains, ref.gains, atol=1e-6)
 
+    def test_singular_gain_denominator_names_its_step(self):
+        # 1 + A_2 C(2,2) = 0, while the innovation covariance of step 2 is 1
+        model = rf.build_vector_model(np.zeros(3), np.diag([1.0, 2.0, 1.0]), np.ones(3), np.diag([0.0, -1.0, 0.0]))
+        risk0 = rf.RiskSpec(mu=0.0, Q=np.zeros(3))
+        for call in (lambda: rf.filter_correlated(model, risk0, np.ones((4, 3))), lambda: rf.leg_affine(model, risk0)):
+            with pytest.raises(SingularInnovationMatrix) as info:
+                call()
+            assert info.value.step == 2
+
     def test_correlated_toy_is_optimal(self):
         T = 2
         K = np.tril(np.array([[1.3, 0.0], [0.6, 1.1]]))
@@ -368,6 +377,30 @@ def test_filter_correlated_long_horizon_is_conditional_mean(builder, rng):
         assert_allclose(h[t - 1], expect, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("builder", ["vector", "ar1_noise", "ma1_observations"])
+@pytest.mark.parametrize("mu", [0.0, -0.5])
+def test_leg_affine_matches_filter_correlated_probe(builder, mu, rng):
+    T = 12
+    model = correlated_model(builder, T, rng)
+    risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.5, 1.5, T))
+    filt = rf.leg_affine(model, risk)
+    probe = rf.oracle.affine_from_filter(lambda y: rf.filter_correlated(model, risk, y).h_bar.reshape(-1), T)
+    assert filt.intercept.shape == (T * model.n,) and filt.gains.shape == (T * model.n, T)
+    assert_allclose(filt.intercept, probe.intercept, rtol=0, atol=1e-12)
+    assert_allclose(filt.gains, probe.gains, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("builder", ["vector", "ar1_noise", "ma1_observations"])
+def test_filter_correlated_batch_equals_one_path_calls(builder, rng):
+    T, P = 15, 6
+    model = correlated_model(builder, T, rng)
+    risk = rf.RiskSpec(mu=-0.5, Q=rng.uniform(0.5, 1.5, T))
+    Y = rng.normal(size=(P, T, 1)) * 1.5
+    one = np.stack([rf.filter_correlated(model, risk, y).h_bar for y in Y])
+    assert np.array_equal(rf.filter_correlated(model, risk, Y).h_bar, one)
+    assert np.array_equal(rf.filter_correlated(model, risk, Y[:, :, 0]).h_bar, one)
+
+
 class TestRiskNeutralFilter:
     def test_deterministic_signal(self):
         T = 3
@@ -380,6 +413,16 @@ class TestRiskNeutralFilter:
         Y = np.array([0.8, 0.0])
         pi = rf.risk_neutral_filter(model, Y)
         assert_allclose(pi[0], 0.4, atol=1e-14)
+
+    def test_correlated_scalar_model_takes_a_batch(self, rng):
+        T = 3
+        K = np.tril([[1.3, 0.0, 0.0], [0.6, 1.1, 0.0], [0.3, 0.5, 1.0]])
+        C = np.array([[0.4, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, 0.0, 0.2]])
+        model = rf.build_vector_model([0.2, -0.1, 0.0], K, [1.0, 0.8, 1.2], C)
+        Y = rng.normal(size=(2, 4, T))
+        h = rf.risk_neutral_filter(model, Y)
+        assert h.shape == (2, 4, T)
+        assert np.array_equal(h[1, 2], rf.risk_neutral_filter(model, Y[1, 2]))
 
     def test_infeasibility_propagates(self):
         T = 3

@@ -169,9 +169,9 @@ class TestCompareFilters:
         probe = rf.oracle.affine_from_filter(
             lambda y: rf.filter_correlated(model, risk0, y).h_bar, T)
         assert abs(est.mean - rf.oracle.exact_affine_risk(model, risk, probe)) <= 4 * est.stderr
-        custom = rf.ExperimentConfig(model=model, risk=risk, filter_kind="custom", custom=probe,
-                                     n_paths=20000, seed=3, batch_size=4096)
-        assert rf.compare_filters(rn, custom).diff_mean == 0.0
+        resolved = sim._resolve_filter(rn)
+        assert_allclose(resolved.intercept, probe.intercept, rtol=0, atol=1e-12)
+        assert_allclose(resolved.gains, probe.gains, rtol=0, atol=1e-12)
 
     def test_shared_seed_required(self):
         with pytest.raises(ConfigError):
@@ -229,10 +229,19 @@ def _correlated_model():
     return rf.build_vector_model([0.2, -0.1, 0.0], K, [1.0, 0.8, 1.2], C)
 
 
+def test_leg_on_correlated_model_matches_exact_risk():
+    model = _correlated_model()
+    risk = rf.RiskSpec(mu=-1.0, Q=np.ones(model.horizon))
+    est = rf.estimate_risk(rf.ExperimentConfig(model=model, risk=risk, filter_kind="leg",
+                                               n_paths=20000, seed=7, batch_size=4096))
+    exact = rf.oracle.exact_affine_risk(model, risk, rf.leg_affine(model, risk))
+    assert abs(est.mean - exact) <= 6 * est.stderr
+
+
 class TestResidualMap:
     @pytest.mark.parametrize("model_kind, kind", [
         ("ar1", "leg"), ("ar1", "risk_neutral"), ("ar1", "custom"),
-        ("correlated", "risk_neutral"), ("correlated", "custom"),
+        ("correlated", "leg"), ("correlated", "risk_neutral"), ("correlated", "custom"),
     ])
     def test_matches_sampled_residual(self, model_kind, kind):
         # L of the correlated model is not block-diagonal: eps loads on the signal's normals.
