@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, SingularConditioning, TransformDiverges
-from .filtering import leg_filter, z_h, z_tilde
+from .filtering import _centering, leg_filter, z_h
 from .model import GaussianModel, RiskSpec, sample_paths
 from .oracle import assemble_joint, log_expected_exp_quadratic
 from .volterra import COND_LIMIT, VolterraSolution, solve_volterra
@@ -53,22 +53,6 @@ class CMDecomposition:
     def M(self) -> np.ndarray:
         return np.exp(self.log_M)
 
-    def to_dict(self) -> dict:
-        return {
-            "log_I": self.log_I.tolist(),
-            "log_M": self.log_M.tolist(),
-            "I": self.I.tolist(),
-            "M": self.M.tolist(),
-            "innovations": self.nu.tolist(),
-            "gamma": self.gamma.tolist(),
-            "gamma_bar": self.gamma_bar.tolist(),
-            "z": self.z.tolist(),
-            "z_tilde": self.z_tilde.tolist(),
-            "step_log_scale": self.step_log_scale.tolist(),
-            "step_exponent": self.step_exponent.tolist(),
-            "step_log_M": self.step_log_M.tolist(),
-        }
-
 
 def _risk_neutral_pass(model: GaussianModel, Y):
     """One-step predictor, innovations and prediction-error variances (mu = 0)."""
@@ -101,8 +85,7 @@ def cm_decompose(model: GaussianModel, risk: RiskSpec, Y, h,
     sol0, predictor, nu = _risk_neutral_pass(model, Y)
     gamma = sol0.diag
 
-    Z = z_h(model, risk, Y, h, solution=solution)
-    Zt, _ = z_tilde(model, risk, Y, h, solution=solution)
+    Z, Zt = _centering(model, risk, Y, h, solution)
 
     one_bar = 1.0 + A**2 * gbar
     one_rn = 1.0 + A**2 * gamma
@@ -164,14 +147,12 @@ def exact_martingale_expectation(model: GaussianModel, risk: RiskSpec, filt) -> 
     solution = solve_volterra(model, risk).require_feasible()
     A = model.gains1
     gbar = solution.diag
-    risk0 = RiskSpec(mu=0.0, Q=np.zeros(T))
-    sol0 = solve_volterra(model, risk0)
-    gamma = sol0.diag
 
     # Row 0 of the batch gives w(0), row 1 + j gives w(0) + W e_j.
     B = np.vstack([np.zeros(T), np.eye(T)])
-    predictor = z_h(model, risk0, B, np.zeros(T), solution=sol0)
-    w = np.hstack([z_h(model, risk, B, filt.apply(B), solution=solution) - predictor, B - A * predictor])
+    sol0, predictor, nu = _risk_neutral_pass(model, B)
+    gamma = sol0.diag
+    w = np.hstack([z_h(model, risk, B, filt.apply(B), solution=solution) - predictor, nu])
     w0, W = w[0], (w[1:] - w[0]).T
 
     one_bar = 1.0 + A**2 * gbar

@@ -29,10 +29,6 @@ from .model import _finite, model_from_config, risk_from_config, sample_paths, s
 from .volterra import solve_volterra
 
 FILTER_CSV_COLUMNS = ("t", "Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde")
-CM_CSV_COLUMNS = (
-    "t", "Y", "h", "I", "log_I", "M", "log_M", "innovation",
-    "gamma", "gamma_bar", "step_log_scale", "step_exponent", "step_log_M",
-)
 
 
 def _load_config(path: str) -> dict:
@@ -85,25 +81,27 @@ def _observations(cfg: dict, model, seed):
     return Yb[0, :, 0], seed
 
 
-def _emit(args, payload_rows=None, columns=None, payload_json=None):
-    """Write CSV rows or a JSON document to --out (default stdout).
+def _emit(args, doc, steps=None):
+    """Write ``doc`` as JSON, or as CSV, to --out (default stdout).
 
-    Verbs without a tabular form render csv output as key,value rows.
+    CSV has one row per step (t, then the columns of ``steps``, an absent
+    column as empty cells) when ``steps`` is given, else key,value rows of ``doc``.
     """
-    if args.format == "csv":
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        if payload_rows is not None:
-            writer.writerow(columns)
-            for row in payload_rows:
-                writer.writerow(["" if v is None else v for v in row])
-        else:
+        if steps is None:
             writer.writerow(("key", "value"))
-            for key, value in sorted(payload_json.items()):
-                writer.writerow((key, json.dumps(value)))
+            for key, value in sorted(doc.items()):
+                writer.writerow((key, json.dumps(value, default=np.ndarray.tolist)))
+        else:
+            T = len(next(col for col in steps.values() if col is not None))
+            writer.writerow(("t", *steps))
+            columns = [[None] * T if col is None else col.tolist() for col in steps.values()]
+            writer.writerows(zip(range(1, T + 1), *columns))
         text = buf.getvalue()
-    else:
-        text = json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -118,12 +116,12 @@ def _cmd_validate(args) -> int:
         "horizon": model.horizon,
         "dims": list(model.dims),
         "mu": risk.mu,
-        "Q": risk.Q.tolist(),
+        "Q": risk.Q,
         "correlated_noise": model.cross_cov is not None,
     }
     if model.is_scalar:
-        summary["S"] = risk.s_values(model.gains1).tolist()
-    _emit(args, payload_json={"valid": True, "resolved": summary})
+        summary["S"] = risk.s_values(model.gains1)
+    _emit(args, {"valid": True, "resolved": summary})
     return 0
 
 
@@ -133,14 +131,14 @@ def _cmd_filter(args) -> int:
     Y, seed = _observations(cfg, model, seed)
     solution = solve_volterra(model, risk).require_feasible()
     run = filtering.leg_filter(model, risk, Y, solution=solution)
-    if args.format == "csv":
-        _emit(args, payload_rows=run.rows(Y), columns=FILTER_CSV_COLUMNS)
-    else:
-        doc = run.to_dict(Y)
-        if seed is not None:
-            doc["seed"] = seed
+    columns = (Y, run.h_bar, run.Z_h, run.Z_tilde, run.gamma_bar_diag, run.gamma_tilde)
+    steps = dict(zip(FILTER_CSV_COLUMNS[1:], columns))
+    doc = {**steps, "risk": run.risk}
+    if seed is not None:
+        doc["seed"] = seed
+    if args.format == "json":
         doc["affine"] = filtering.leg_affine(model, risk, solution=solution).to_dict()
-        _emit(args, payload_json=doc)
+    _emit(args, doc, steps)
     return 0
 
 
@@ -152,13 +150,7 @@ def _cmd_risk(args) -> int:
         value = filtering.optimal_risk(solution, risk, model.gains1)
     except DomainError as exc:  # mu = 0
         raise ConfigError(str(exc), field="risk.mu") from exc
-    doc = {
-        "optimal_risk": value,
-        "mu": risk.mu,
-        "gamma_bar": solution.diag.tolist(),
-        "S": solution.S.tolist(),
-    }
-    _emit(args, payload_json=doc)
+    _emit(args, {"optimal_risk": value, "mu": risk.mu, "gamma_bar": solution.diag, "S": solution.S})
     return 0
 
 
@@ -174,25 +166,16 @@ def _cmd_cm(args) -> int:
     else:
         h = filtering.leg_filter(model, risk, Y, solution=solution).h_bar
     dec = cameron_martin.cm_decompose(model, risk, Y, h, solution=solution)
-    if args.format == "csv":
-        rows = []
-        for t in range(model.horizon):
-            rows.append((
-                t + 1, float(Y[t]), float(h[t]),
-                float(dec.I[t]), float(dec.log_I[t]),
-                float(dec.M[t]), float(dec.log_M[t]),
-                float(dec.nu[t]), float(dec.gamma[t]), float(dec.gamma_bar[t]),
-                float(dec.step_log_scale[t]), float(dec.step_exponent[t]),
-                float(dec.step_log_M[t]),
-            ))
-        _emit(args, payload_rows=rows, columns=CM_CSV_COLUMNS)
-    else:
-        doc = dec.to_dict()
-        doc["Y"] = Y.tolist()
-        doc["h"] = np.asarray(h).tolist()
-        if seed is not None:
-            doc["seed"] = seed
-        _emit(args, payload_json=doc)
+    steps = {
+        "Y": Y, "h": h, "I": dec.I, "log_I": dec.log_I, "M": dec.M, "log_M": dec.log_M, "innovation": dec.nu,
+        "gamma": dec.gamma, "gamma_bar": dec.gamma_bar, "step_log_scale": dec.step_log_scale,
+        "step_exponent": dec.step_exponent, "step_log_M": dec.step_log_M,
+    }
+    doc = {key: col for key, col in steps.items() if key != "innovation"}
+    doc.update(innovations=dec.nu, z=dec.z, z_tilde=dec.z_tilde)
+    if seed is not None:
+        doc["seed"] = seed
+    _emit(args, doc, steps)
     return 0
 
 
@@ -215,7 +198,7 @@ def _cmd_simulate(args) -> int:
     estimate = sim.estimate_risk(config)
     doc = estimate.to_dict()
     doc["seed"] = config.seed
-    _emit(args, payload_json=doc)
+    _emit(args, doc)
     if args.batch_csv:
         with open(args.batch_csv, "w", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -237,13 +220,15 @@ def _cmd_compare(args) -> int:
         configs.append(sim.ExperimentConfig.from_dict(c))
     _scalar_only(configs[0].model, args)
     report = sim.compare_filters(configs[0], configs[1])
-    _emit(args, payload_json=report.to_dict())
+    _emit(args, report.to_dict())
     return 0
 
 
 def _cmd_example_5_2(args) -> int:
+    if args.T < 1:
+        raise ConfigError("T must be at least 1", field="T")
     report = oracle.leg_vs_rs_example(args.T)
-    _emit(args, payload_json=report)
+    _emit(args, report)
     return 0
 
 

@@ -26,6 +26,7 @@ from .volterra import (
 )
 
 ZTILDE_RAISE_TOL = 1e-9
+MU_ZERO = "the exponential criterion degenerates at mu = 0; no risk value is defined"
 
 
 @dataclass(frozen=True)
@@ -42,37 +43,6 @@ class FilterRun:
     gamma_tilde: np.ndarray | None = None
     gamma_bar_diag: np.ndarray | None = None
     risk: float | None = None
-
-    def rows(self, Y):
-        """Per-step rows (t, Y, h_bar, Z_h, Z_tilde, gamma_bar, gamma_tilde) for CSV output."""
-        T = self.h_bar.shape[-1]
-        out = []
-        for t in range(T):
-            out.append(
-                (
-                    t + 1,
-                    float(Y[t]),
-                    float(self.h_bar[t]),
-                    float(self.Z_h[t]) if self.Z_h is not None else None,
-                    float(self.Z_tilde[t]) if self.Z_tilde is not None else None,
-                    float(self.gamma_bar_diag[t]) if self.gamma_bar_diag is not None else None,
-                    float(self.gamma_tilde[t]) if self.gamma_tilde is not None else None,
-                )
-            )
-        return out
-
-    def to_dict(self, Y=None) -> dict:
-        out = {
-            "h_bar": np.asarray(self.h_bar).tolist(),
-            "Z_h": None if self.Z_h is None else np.asarray(self.Z_h).tolist(),
-            "Z_tilde": None if self.Z_tilde is None else np.asarray(self.Z_tilde).tolist(),
-            "gamma_tilde": None if self.gamma_tilde is None else np.asarray(self.gamma_tilde).tolist(),
-            "gamma_bar": None if self.gamma_bar_diag is None else np.asarray(self.gamma_bar_diag).tolist(),
-            "risk": self.risk,
-        }
-        if Y is not None:
-            out["Y"] = np.asarray(Y).tolist()
-        return out
 
 
 def _check_horizon(Y, T):
@@ -137,7 +107,7 @@ def _risk_value(mu, S, A, g) -> float:
 def optimal_risk(solution: VolterraSolution, risk: RiskSpec, A) -> float:
     """Closed-form optimal value mu * prod_t [(1+S_t g_t)/(1+A_t^2 g_t)]^(-1/2)."""
     if risk.mu == 0.0:
-        raise DomainError("the exponential criterion degenerates at mu = 0; no risk value is defined")
+        raise DomainError(MU_ZERO)
     solution.require_feasible()
     return _risk_value(risk.mu, solution.S, np.asarray(A, dtype=float), solution.diag)
 
@@ -202,34 +172,40 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
     return _solve_paths(sol.gamma_bar, A * wa - wq, np.ones(T), m, wa * Y - wq * h)
 
 
-def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None):
-    """Filtered variant of the centering sequence plus its variance sequence.
+def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution):
+    """(Z_h, Z~) from one solve of each recursion.
 
-    Solves the direct recursion (its l = t term is implicit) and also maps
-    ``z_h`` algebraically, and checks that the two agree; persistent
-    disagreement signals an indexing bug in the covariance table, not bad
-    data.
+    Z~ solves the direct recursion (its l = t term is implicit) and is
+    checked against its algebraic map from Z_h; persistent disagreement
+    signals an indexing bug in the covariance table, not bad data.
     """
-    model._require_scalar()
-    sol = _scalar_solution(model, risk, solution)
     T = model.horizon
+    Z = z_h(model, risk, Y, h, solution=solution)
     Y = _check_horizon(Y, T)
     h = _check_horizon(h, T)
     A, m = model.gains1, model.mean1
-    g = sol.diag
-    gamma_tilde = g / (1.0 + A**2 * g)
-
-    wq = risk.mu * risk.q_vector() / (1.0 + sol.S * g)
-    Zt = _solve_paths(sol.gamma_bar, A**2 - wq, 1.0 + A**2 * g, m + A * g * Y, A * Y - wq * h)
-
-    Z = z_h(model, risk, Y, h, solution=sol)
+    g = solution.diag
+    wq = risk.mu * risk.q_vector() / (1.0 + solution.S * g)
+    Zt = _solve_paths(solution.gamma_bar, A**2 - wq, 1.0 + A**2 * g, m + A * g * Y, A * Y - wq * h)
     Zt_alg = (Z + A * g * Y) / (1.0 + A**2 * g)
     err = float(np.max(np.abs(Zt - Zt_alg) / np.maximum(1.0, np.abs(Zt_alg))))
     if err > ZTILDE_RAISE_TOL:
         raise InconsistentRecursion(
             f"direct and algebraic centering sequences disagree by {err:.3e}"
         )
-    return Zt_alg, np.broadcast_to(gamma_tilde, Zt_alg.shape).copy()
+    return Z, Zt_alg
+
+
+def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None):
+    """Filtered variant of the centering sequence plus its variance sequence.
+
+    Raises ``InconsistentRecursion`` when its two routes (see ``_centering``) disagree.
+    """
+    model._require_scalar()
+    sol = _scalar_solution(model, risk, solution)
+    _, Zt = _centering(model, risk, Y, h, sol)
+    A, g = model.gains1, sol.diag
+    return Zt, np.broadcast_to(g / (1.0 + A**2 * g), Zt.shape).copy()
 
 
 def risk_neutral_filter(model: GaussianModel, Y) -> np.ndarray:

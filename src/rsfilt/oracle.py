@@ -240,40 +240,37 @@ class AugmentedSystem:
     def horizon(self) -> int:
         return len(self.y_values)
 
-    def _condition(self, n_y: int, n_aux: int, aux_values=None) -> JointGaussian:
-        aux = self.aux_values if aux_values is None else np.asarray(aux_values, dtype=float)
+    def _condition(self, n_y: int, n_aux: int) -> JointGaussian:
         idx = [self.joint.index(("y", t + 1, 0)) for t in range(n_y)]
         idx += [self.joint.index(("aux", t + 1, 0)) for t in range(n_aux)]
-        vals = np.concatenate([self.y_values[:n_y], aux[:n_aux]])
+        vals = np.concatenate([self.y_values[:n_y], self.aux_values[:n_aux]])
         return condition(self.joint, idx, vals)
 
-    def predictor_moments(self, t: int, aux_values=None):
+    def predictor_moments(self, t: int):
         """(mean, variance, error-accumulator covariance) of X_t given the
         augmented history up to t-1.
 
         The third value is sum_{s<t} aux_s Cov(X_t, X_s | history), the
         correction that turns the predictor into the centering sequence.
         """
-        aux = self.aux_values if aux_values is None else np.asarray(aux_values, dtype=float)
-        cond = self._condition(t - 1, t - 1, aux_values)
+        cond = self._condition(t - 1, t - 1)
         i = cond.index(("x", t, 0))
         mean = float(cond.mean[i])
         var = float(cond.cov[i, i])
         acc = 0.0
         for s in range(1, t):
             j = cond.index(("x", s, 0))
-            acc += aux[s - 1] * cond.cov[i, j]
+            acc += self.aux_values[s - 1] * cond.cov[i, j]
         return mean, var, float(acc)
 
-    def filtered_moments(self, t: int, aux_values=None):
+    def filtered_moments(self, t: int):
         """(center, variance) of X_t given observations to t and auxiliaries to t-1."""
-        aux = self.aux_values if aux_values is None else np.asarray(aux_values, dtype=float)
-        cond = self._condition(t, t - 1, aux_values)
+        cond = self._condition(t, t - 1)
         i = cond.index(("x", t, 0))
         acc = 0.0
         for s in range(1, t):
             j = cond.index(("x", s, 0))
-            acc += aux[s - 1] * cond.cov[i, j]
+            acc += self.aux_values[s - 1] * cond.cov[i, j]
         return float(cond.mean[i] - acc), float(cond.cov[i, i])
 
 
@@ -328,10 +325,19 @@ def conditional_exp_quadratic(joint: JointGaussian, Y_values, risk: RiskSpec, h)
 # --- brute-force affine-filter optimization ----------------------------------
 
 def affine_from_filter(apply_fn, T: int) -> AffineFilter:
-    """Extract affine coefficients by evaluating a filter on basis paths."""
-    base = np.asarray(apply_fn(np.zeros(T)), dtype=float)
-    G = np.column_stack([np.asarray(apply_fn(e), dtype=float) - base for e in np.eye(T)])
-    return AffineFilter(intercept=base, gains=np.tril(G))
+    """Extract affine coefficients by evaluating a filter on basis paths.
+
+    A filter output of shape (T,) or (T, n) is flattened in (t, component)
+    order and the gains of step t on observations after t are zeroed, so the
+    map has ``leg_affine``'s layout: intercept (T n,), gains (T n, T).
+    """
+    def probe(y):
+        return np.asarray(apply_fn(y), dtype=float).reshape(T, -1)
+
+    base = probe(np.zeros(T))
+    G = np.stack([probe(e) - base for e in np.eye(T)], axis=-1)  # (t, component, l)
+    G = np.where(np.tri(T, dtype=bool)[:, None, :], G, 0.0)
+    return AffineFilter(intercept=base.reshape(-1), gains=G.reshape(-1, T))
 
 
 def _pack(filt: AffineFilter) -> np.ndarray:

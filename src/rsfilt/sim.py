@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, OverflowDominated
-from .filtering import AffineFilter, leg_affine
+from .filtering import MU_ZERO, AffineFilter, leg_affine
 from .model import (
     GaussianModel, RiskSpec, _finite, _integer, _joint_factor, model_from_config, risk_from_config, seed_from_config,
 )
@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ConfigError("custom filter requires coefficients", field="filter")
         if self.criterion not in ("exponential", "mean_square"):
             raise ConfigError(f"unknown criterion {self.criterion!r}", field="criterion")
+        if self.criterion == "exponential" and self.risk.mu == 0.0:
+            raise ConfigError(MU_ZERO, field="risk.mu")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
@@ -200,7 +202,7 @@ def _monte_carlo(configs):
     """One pass over shared paths for one or two filters.
 
     Each path value is held as exp(shift_b) * u with one shift per batch and
-    filter: zero for the mean-square criterion and for mu <= 0, the batch's
+    filter: zero for the mean-square criterion and for mu < 0, the batch's
     largest exponent for mu > 0. Returns one RiskEstimate per config and, for
     two configs, the mean and standard error of the paired difference.
     """
@@ -218,7 +220,9 @@ def _monte_carlo(configs):
     parts = [[] for _ in maps]
     diff_parts = []
     n_overflow = [0] * len(maps)
-    with contextlib.closing(_normals(batch_seeds, sizes, L.shape[0])) as batches:
+    # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
+    with contextlib.closing(_normals(batch_seeds, sizes, L.shape[0])) as batches, \
+            np.errstate(over="ignore", invalid="ignore"):
         for z in batches:
             scaled = []
             for i, (r, R) in enumerate(maps):

@@ -184,7 +184,12 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
         Cs = C[:, s * m : (s + 1) * m]
         E = np.zeros((len(H),) * 2)
         E[:, :m] = H @ Cs[a:b]
-        V = np.diag(np.concatenate([np.ones(m), aux])) + H @ g @ H.T + E + E.T
+        with np.errstate(over="ignore", invalid="ignore"):  # |mu| above about 1e154 overflows V_s
+            V = np.diag(np.concatenate([np.ones(m), aux])) + H @ g @ H.T + E + E.T
+        if not np.isfinite(V).all():
+            raise SingularInnovationMatrix(
+                f"innovation covariance at step {s + 1} overflows double precision", step=s + 1
+            )
         eig = np.linalg.eigvalsh((V + V.T) / 2)
         # cond(V_s) = |eig|max / |eig|min, written so that V_s = 0 is caught too
         if np.abs(eig).max() >= COND_LIMIT * np.abs(eig).min():

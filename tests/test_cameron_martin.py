@@ -230,6 +230,17 @@ class TestZTildeConsistencyGuard:
         Y = rng.normal(size=3)
         with pytest.raises(InconsistentRecursion):
             rf.z_tilde(model, risk, Y, rng.normal(size=3), solution=corrupted)
+        with pytest.raises(InconsistentRecursion):
+            rf.cm_decompose(model, risk, Y, rng.normal(size=3), solution=corrupted)
+
+    def test_cm_decompose_carries_the_public_sequences(self, rng):
+        model = random_scalar_model(rng, 5)
+        risk = rf.RiskSpec(mu=-0.7, Q=rng.uniform(0.5, 1.5, 5))
+        Y = rng.normal(size=5)
+        h = random_causal_h(rng, Y)
+        dec = rf.cm_decompose(model, risk, Y, h)
+        assert np.array_equal(dec.z, rf.z_h(model, risk, Y, h))
+        assert np.array_equal(dec.z_tilde, rf.z_tilde(model, risk, Y, h)[0])
 
 
     def test_positive_mu_continuation(self, rng):

@@ -106,8 +106,8 @@ def test_risk_verb(config_path, capsys):
 def test_cm_verb_csv(config_path, capsys):
     assert run(["cm", "--config", config_path, "--format", "csv"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
-    assert rows[0][0] == "t"
-    assert "log_I" in rows[0]
+    assert rows[0] == ["t", "Y", "h", "I", "log_I", "M", "log_M", "innovation", "gamma",
+                       "gamma_bar", "step_log_scale", "step_exponent", "step_log_M"]
     assert len(rows) == 5
 
 
@@ -152,6 +152,12 @@ def test_example_5_2(capsys):
     assert doc["gamma_max_discrepancy"] < 1e-12
 
 
+@pytest.mark.parametrize("T", ["0", "-3"])
+def test_example_5_2_names_T_below_one(T, capsys):
+    assert run(["example-5-2", f"--T={T}"]) == 1
+    assert "config error at T:" in capsys.readouterr().err
+
+
 def test_simulate_batch_csv(config_path, tmp_path, capsys):
     out = tmp_path / "batches.csv"
     assert run([
@@ -169,6 +175,7 @@ def test_filter_with_supplied_observations(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert run(["filter", "--config", str(p), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde", "risk", "affine"}
     assert doc["Y"] == cfg["Y"]
 
     import rsfilt as rf
@@ -186,6 +193,8 @@ def test_cm_with_supplied_estimates(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     assert run(["cm", "--config", str(p), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"Y", "h", "I", "log_I", "M", "log_M", "innovations", "gamma", "gamma_bar",
+                        "z", "z_tilde", "step_log_scale", "step_exponent", "step_log_M"}
     assert doc["h"] == cfg["h"]
     assert len(doc["log_I"]) == 4
 
@@ -272,7 +281,7 @@ CONFIG_VERBS = ["validate", "filter", "risk", "cm", "simulate", "compare"]
     (_with("model", D=-1), "model.D", CONFIG_VERBS),
     (_with("model", a=1e200), "model", CONFIG_VERBS),
     (_with("risk", Q=-1), "risk.Q", CONFIG_VERBS),
-    (_with("risk", mu=0), "risk.mu", ["risk"]),
+    (_with("risk", mu=0), "risk.mu", ["risk", "simulate", "compare"]),
     (_top(model={"kind": "ma1_observations", "lambda": 0.5, "alpha": 1.0, "beta": 0.3, "T": 4}),
      "model.kind", ["filter", "risk", "cm", "simulate", "compare"]),
 ])
@@ -353,6 +362,50 @@ def test_fuzz_one_bad_entry(site, value, fmt, to_file):
             if to_file and rc == 0:
                 written += Path(out_file).read_text()
             assert not NON_FINITE.search(written), (verb, written)
+
+
+def test_mean_square_criterion_takes_mu_zero(tmp_path, capsys):
+    cfg = {**_with("risk", mu=0), "criterion": "mean_square", "paths": 100}
+    p = tmp_path / "ms.json"
+    p.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["mean"] > 0
+
+
+FUZZ_FLAGS = {
+    "--mu": ["x", "nan", "inf", "-inf", "0", "10", "1e300", "-1e300", "1e-300", "-1e5"],
+    "--seed": ["x", "-1", "1.5", str(2**64), str(2**64 - 1)],
+    "--paths": ["x", "0", "-1", "1", "1.5", str(-(2**70))],
+    "--T": ["x", "0", "-1", "1.5", str(-(2**70))],
+}
+# (verb, flag, value); --T is a flag of example-5-2 only.
+FUZZ_FLAG_SITES = [
+    (verb, flag, value)
+    for verb in [*CONFIG_VERBS, "example-5-2"]
+    for flag, values in FUZZ_FLAGS.items() if flag != "--T" or verb == "example-5-2"
+    for value in values
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(site=st.sampled_from(FUZZ_FLAG_SITES), kind=st.sampled_from(sorted(FUZZ_MODELS)),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_fuzz_one_bad_flag(site, kind, fmt):
+    """A bad flag value ends in exit 0, 1 (naming the field or flag) or 2, never raises, and writes no NaN or inf."""
+    verb, flag, value = site
+    with tempfile.TemporaryDirectory() as tmp:
+        config = f"{tmp}/config.json"
+        with open(config, "w") as fh:
+            json.dump({"model": FUZZ_MODELS[kind], **FUZZ_TOP}, fh)
+        source = [] if verb == "example-5-2" else ["--config", config]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run([verb, *source, "--format", fmt, f"{flag}={value}"])
+    assert rc in (0, 1, 2), (verb, rc)
+    if rc == 1:
+        err = stderr.getvalue()
+        assert "config error at " in err or f"error: argument {flag}:" in err, (verb, err)
+    assert not NON_FINITE.search(stdout.getvalue()), (verb, stdout.getvalue())
 
 
 def test_correlated_scalar_model_verbs(tmp_path, capsys):

@@ -384,7 +384,7 @@ def test_leg_affine_matches_filter_correlated_probe(builder, mu, rng):
     model = correlated_model(builder, T, rng)
     risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.5, 1.5, T))
     filt = rf.leg_affine(model, risk)
-    probe = rf.oracle.affine_from_filter(lambda y: rf.filter_correlated(model, risk, y).h_bar.reshape(-1), T)
+    probe = rf.oracle.affine_from_filter(lambda y: rf.filter_correlated(model, risk, y).h_bar, T)
     assert filt.intercept.shape == (T * model.n,) and filt.gains.shape == (T * model.n, T)
     assert_allclose(filt.intercept, probe.intercept, rtol=0, atol=1e-12)
     assert_allclose(filt.gains, probe.gains, rtol=0, atol=1e-12)

@@ -294,6 +294,13 @@ class TestCorrelatedSolver:
         if s_sc.feasible:
             assert_allclose(s_cr.gamma_bar[:, :, 0, 0], s_sc.gamma_bar, atol=1e-13)
 
+    @pytest.mark.parametrize("mu", [1e300, -1e300, 1e160])
+    def test_overflowing_innovation_covariance_reported(self, mu):
+        model = rf.build_ar1_noise(0.7, 0.4, 1.0, 0.4, 4)
+        with pytest.raises(SingularInnovationMatrix, match="step 1 overflows") as info:
+            rf.solve_volterra_correlated(model, rf.RiskSpec(mu=mu, Q=np.ones(4)))
+        assert info.value.step == 1
+
     def test_ma1_observation_structure(self):
         lam, T = 0.6, 5
         model = rf.build_ma1_observations(lam, 1.1, 0.5, T)
