@@ -232,6 +232,16 @@ def _cmd_example_5_2(args) -> int:
     return 0
 
 
+def _flag_type(parse, flag, what):
+    """An argparse ``type=`` that reports an unparsable value as a config error at ``flag``."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{flag.lstrip('-')} must be {what}, got {text!r}", field=flag) from exc
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsfilt",
@@ -244,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=False, help="path to a JSON configuration")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
-        p.add_argument("--paths", type=int, help="path-count override")
-        p.add_argument("--mu", type=float, help="risk parameter override")
+        p.add_argument("--seed", type=_flag_type(int, "--seed", "an integer"), help="seed override (unsigned 64-bit)")
+        p.add_argument("--paths", type=_flag_type(int, "--paths", "an integer"), help="path-count override")
+        p.add_argument("--mu", type=_flag_type(float, "--mu", "a number"), help="risk parameter override")
 
     for name, fn in (
         ("validate", _cmd_validate),
@@ -264,20 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-5-2")
     common(p, needs_config=False)
-    p.add_argument("--T", type=int, default=10)
+    p.add_argument("--T", type=_flag_type(int, "--T", "an integer"), default=10)
     p.set_defaults(fn=_cmd_example_5_2)
     return parser
 
 
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return 1 if exc.code not in (0, None) else 0
     except ConfigError as exc:
         where = f" at {exc.field}" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)

@@ -46,17 +46,30 @@ def _symmetrize_from_lower(K):
 
 
 def check_psd(mat, what):
-    """Eigenvalue floor check with tolerance -PSD_TOL * trace."""
-    if not np.all(np.isfinite(mat)):
-        raise NotPositiveSemidefinite(f"{what} has entries that are not finite in double precision")
-    sym = (mat + mat.T) / 2.0
-    scale = max(float(np.trace(sym)), 1.0)
-    eigvals = np.linalg.eigvalsh(sym)
-    worst = float(eigvals[0])
-    if worst < -PSD_TOL * scale:
+    """Eigenvalue floor check with tolerance -PSD_TOL * trace, of one matrix or of each block of
+    a (T, N, N) stack, ``what`` naming block t by ``{}``. Cholesky of sym + 0.5 PSD_TOL scale I
+    certifies the floor: its backward error, at most (N + 1) u trace (about 1e-13 scale at N = 800),
+    is far below the 0.5 PSD_TOL scale margin. Without a certificate the eigenvalues decide."""
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    sym = np.where(finite[..., None, None], mat, 0.0)
+    sym = (sym + np.swapaxes(sym, -1, -2)) / 2.0
+    scale = np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
+    diag = np.einsum("...ii->...i", sym)  # a view: shifted in place, to hold one table fewer
+    saved = diag.copy()
+    diag += 0.5 * PSD_TOL * scale[..., None]
+    try:
+        np.linalg.cholesky(sym)
+        worst = 0.0 * scale
+    except np.linalg.LinAlgError:
+        diag[...] = saved
+        worst = np.linalg.eigvalsh(sym)[..., 0]
+    for t in np.flatnonzero(~finite | (worst < -PSD_TOL * scale))[:1]:
+        name = what.format(t + 1)
+        if not finite.flat[t]:
+            raise NotPositiveSemidefinite(f"{name} has entries that are not finite in double precision")
         raise NotPositiveSemidefinite(
-            f"{what} is not positive semidefinite (worst eigenvalue {worst:.3e})",
-            worst_eigenvalue=worst,
+            f"{name} is not positive semidefinite (worst eigenvalue {worst.flat[t]:.3e})",
+            worst_eigenvalue=float(worst.flat[t]),
         )
 
 
@@ -148,8 +161,7 @@ class RiskSpec:
             if np.any(Q < 0):
                 raise NegativeVariance("weights Q must be nonnegative")
         elif Q.ndim == 3:
-            for t in range(Q.shape[0]):
-                check_psd(Q[t], f"weight matrix Q at step {t + 1}")
+            check_psd(Q, "weight matrix Q at step {}")
         else:
             raise DimensionMismatch("Q must have shape (T,) or (T, n, n)")
 

@@ -11,6 +11,7 @@ prediction-error covariances, and for mu < 0 the recursion is always feasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ COND_LIMIT = 1e12
 
 CLAUSE_DIAG = "gamma_bar_t >= 0"
 CLAUSE_DENOM = "1 + S_t * gamma_bar_t > 0"
+PANEL = 32  # steps of the correlated kernel per batch of step checks
+OVERFLOW = "overflows double precision"
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         )
     K = model.cov2
     T = model.horizon
-    S = risk.s_values(model.gains1)
+    S = _weights(risk, model.gains1)
     if S.shape != (T,):
         raise DimensionMismatch(f"risk weights have horizon {S.shape[0]}, model has {T}")
 
@@ -111,9 +114,11 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     for s in range(T):
         gam[s:, s] = K[s:, s] - gam[s:, :s] @ (gam[s, :s] * w[:s])
         g = gam[s, s]
-        denom = 1.0 + S[s] * g
+        denom = 1.0 + float(S[s]) * float(g)  # Python floats overflow to inf without a warning
         if g < -FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DIAG
+        elif not math.isfinite(denom):
+            raise SingularInnovationMatrix(f"innovation covariance at step {s + 1} {OVERFLOW}", step=s + 1)
         elif denom <= FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DENOM
         if not feasible:
@@ -124,15 +129,6 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
         first_violation=violation, violated_clause=clause,
     )
-
-
-def _lower_blocks(work: np.ndarray, T: int, n: int, filled: int) -> np.ndarray:
-    """The flat (T*n, T*n) table as (T, T, n, n) blocks, zero above the diagonal
-    and in every column from ``filled`` on."""
-    gam = np.ascontiguousarray(work.reshape(T, n, T, n).transpose(0, 2, 1, 3))
-    gam[np.triu_indices(T, 1)] = 0.0
-    gam[:, filled:] = 0.0
-    return gam
 
 
 def solve_volterra_matrix(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
@@ -158,62 +154,87 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     lam_i u_i' per nonzero lam_i, with independent noise of variance lam_i.
     Step s observes the stacked rows H_s = [A_s; R_s], whose innovation
     covariance is V_s = H g H' + E + E' + diag(1, lam) with E = H [C_ss | 0].
-    Right-looking elimination on the flat (T*n, T*n) table: once column s is
-    final and its step is checked, every later entry gets that step's
-    correction U V_s^{-1} U', U = col H' + [C_s | 0], from one solve and one
-    matrix product.
+    Left-looking: column s of the flat table is K minus one product of the
+    stored U_l V_l^{-1} and U_l = col_l H_l' + [C_l | 0], l < s.
     """
     T, n, m = model.horizon, model.n, model.m
-    Qp = -risk.mu * risk.q_blocks(n)
-    S = risk.s_values(model.gains)
-    lam, vecs = np.linalg.eigh((Qp + Qp.transpose(0, 2, 1)) / 2)
+    S = _weights(risk, model.gains)
+    Qp = -risk.mu * risk.q_blocks(n)  # finite where S is
+    lam, vecs = np.linalg.eigh(0.5 * Qp + 0.5 * Qp.transpose(0, 2, 1))
     keep = np.abs(lam) > FEAS_TOL * np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1.0)
-
-    work = model.flat_cov().copy()
+    r, negative = m + keep.sum(axis=1), np.count_nonzero(keep & (lam < 0), axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")  # kept rows first, still ascending: H_s = H[s, :r_s]
+    lam, vecs = np.take_along_axis(lam, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
+    H = np.concatenate([model.gains, lam[:, :, None] * vecs.transpose(0, 2, 1)], axis=1)
     C = model.flat_cross()
-    feasible, violation, clause = True, None, None
-    for s in range(T):
-        a, b = s * n, (s + 1) * n
-        g = work[a:b, a:b]
-        gscale = max(float(np.trace(g)), 1.0)
-        if np.linalg.eigvalsh((g + g.T) / 2)[0] < -FEAS_TOL * gscale:
-            feasible, violation, clause = False, s + 1, CLAUSE_DIAG
-            break
-        aux = lam[s, keep[s]]
-        H = np.concatenate([model.gains[s], aux[:, None] * vecs[s][:, keep[s]].T])
-        Cs = C[:, s * m : (s + 1) * m]
-        E = np.zeros((len(H),) * 2)
-        E[:, :m] = H @ Cs[a:b]
-        with np.errstate(over="ignore", invalid="ignore"):  # |mu| above about 1e154 overflows V_s
-            V = np.diag(np.concatenate([np.ones(m), aux])) + H @ g @ H.T + E + E.T
-        if not np.isfinite(V).all():
-            raise SingularInnovationMatrix(
-                f"innovation covariance at step {s + 1} overflows double precision", step=s + 1
-            )
-        eig = np.linalg.eigvalsh((V + V.T) / 2)
-        # cond(V_s) = |eig|max / |eig|min, written so that V_s = 0 is caught too
-        if np.abs(eig).max() >= COND_LIMIT * np.abs(eig).min():
-            raise SingularInnovationMatrix(
-                f"innovation covariance at step {s + 1} is singular", step=s + 1
-            )
-        # Analytic continuation, counted by inertia (Haynsworth inertia
-        # additivity): the step is feasible when V_s has exactly as many
-        # nonpositive eigenvalues as the auxiliary noise has negative
-        # variances, none for mu <= 0. This is 1 + S gbar > 0 in the scalar
-        # case; unlike the sign of det V_s it sees two eigenvalues of
-        # I + S gbar turning negative at one step.
-        if np.count_nonzero(eig <= FEAS_TOL) != np.count_nonzero(aux < 0):
-            feasible, violation, clause = False, s + 1, CLAUSE_DENOM
-            break
-        U = work[b:, a:b] @ H.T
-        U[:, :m] += Cs[b:]
-        # np.dot, not @: numpy's @ skips BLAS when the inner dimension is 1 (mu = 0).
-        work[b:, b:] -= np.dot(U, np.linalg.solve(V, U.T))
+    E = H @ np.concatenate([C.reshape(T, n, T, m)[np.arange(T), :, np.arange(T)], np.zeros((T, n, n))], 2)
+    D = E + E.transpose(0, 2, 1) + np.eye(m + n) * np.concatenate([np.ones((T, m)), lam], axis=1)[:, None, :]
 
-    return VolterraSolution(
-        gamma_bar=_lower_blocks(work, T, n, violation or T), S=S, mu=risk.mu, feasible=feasible,
-        first_violation=violation, violated_clause=clause if not feasible else None,
-    )
+    gam = model.flat_cov().copy()  # column s becomes gbar's at step s; the blocks above are zeroed at the end
+    U, W = np.zeros((2, T * n, int(r.sum())))  # U_l and U_l V_l^{-1}, l < s
+    violation, clause, first, gs, Vs, off = None, None, 0, [], [], 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked panel by panel
+        for s in range(T):
+            a, b, rs, Hs = s * n, (s + 1) * n, r[s], H[s, : r[s]]
+            col = gam[a:, a:b]
+            col -= W[a:, :off] @ U[a:b, :off].T
+            gs.append(col[:n])
+            Vs.append(D[s, :rs, :rs] + Hs @ col[:n] @ Hs.T)
+            try:
+                Vinv = np.linalg.inv(Vs[-1])
+            except np.linalg.LinAlgError:  # exactly singular: zeroed (nan if not finite), it fails now
+                Vs[-1], Vinv = 0.0 * Vs[-1], None
+            else:
+                Us = U[b:, off : off + rs]
+                np.matmul(col[n:], Hs.T, out=Us)
+                Us[:, :m] += C[b:, s * m : (s + 1) * m]
+                np.matmul(Us, Vinv, out=W[b:, off : off + rs])
+            off += rs
+            if Vinv is None or len(gs) == PANEL or s == T - 1:
+                violation, clause = _check_panel(first, np.array(gs), Vs, r[first : s + 1], negative[first : s + 1])
+                if violation:
+                    gam[:, violation * n :] = 0.0
+                    break
+                first, gs, Vs = s + 1, [], []
+
+    gam = np.ascontiguousarray(gam.reshape(T, n, T, n).transpose(0, 2, 1, 3))
+    gam[np.triu_indices(T, 1)] = 0.0
+    return VolterraSolution(gamma_bar=gam, S=S, mu=risk.mu, feasible=violation is None,
+                            first_violation=violation, violated_clause=clause)
+
+
+def _weights(risk: RiskSpec, gains: np.ndarray) -> np.ndarray:
+    """S_t = A_t'A_t - mu Q_t, after raising at the first step where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = risk.s_values(gains)
+    for step in np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))[:1] + 1:
+        raise SingularInnovationMatrix(f"S_t at step {step} {OVERFLOW}", step=int(step))
+    return S
+
+
+def _check_panel(first, G, Vs, r, negative):
+    """(step, clause) of the panel's first infeasible step (0-based ``first`` starts it), or (None, None); raises
+    there if V_s is not finite or singular. Checks run in step order, one stacked ``eigvalsh`` per row count r_s."""
+    # Zeros for the non-finite steps after a failure; a non-finite gbar_s fails V_s's finiteness check.
+    G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], 0.5 * G + 0.5 * G.transpose(0, 2, 1), 0.0)
+    codes = np.zeros(len(G), dtype=int)
+    for rs in np.unique(r):
+        idx = np.flatnonzero(r == rs)
+        V = np.array([Vs[i] for i in idx])
+        finite = np.isfinite(V).all(axis=(1, 2))
+        eig = np.linalg.eigvalsh(np.where(finite[:, None, None], 0.5 * V + 0.5 * V.transpose(0, 2, 1), 0.0))
+        # cond(V_s) = |eig|max / |eig|min catches V_s = 0 too. Feasibility counts inertia (Haynsworth):
+        # V_s has as many nonpositive eigenvalues as the aux noise has negative variances, 1 + S gbar > 0
+        # if scalar; unlike the sign of det V_s it sees two eigenvalues of I + S gbar turn negative at once.
+        codes[idx] = np.select([~finite, np.abs(eig).max(axis=1) >= COND_LIMIT * np.abs(eig).min(axis=1),
+                                np.count_nonzero(eig <= FEAS_TOL, axis=1) != negative[idx]], [2, 3, 4])
+    codes[np.linalg.eigvalsh(G)[:, 0] < -FEAS_TOL * np.maximum(np.trace(G, axis1=1, axis2=2), 1.0)] = 1
+    for i in np.flatnonzero(codes)[:1]:
+        step, what = first + int(i) + 1, (CLAUSE_DIAG, OVERFLOW, "is singular", CLAUSE_DENOM)[codes[i] - 1]
+        if codes[i] in (2, 3):
+            raise SingularInnovationMatrix(f"innovation covariance at step {step} {what}", step=step)
+        return step, what
+    return None, None
 
 
 def _denominator(name, Sg, step):

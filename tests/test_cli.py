@@ -372,11 +372,12 @@ def test_mean_square_criterion_takes_mu_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["mean"] > 0
 
 
+UNPARSABLE = ["x", "", "1,5", "0x10", "inf", "nan"]
 FUZZ_FLAGS = {
-    "--mu": ["x", "nan", "inf", "-inf", "0", "10", "1e300", "-1e300", "1e-300", "-1e5"],
-    "--seed": ["x", "-1", "1.5", str(2**64), str(2**64 - 1)],
-    "--paths": ["x", "0", "-1", "1", "1.5", str(-(2**70))],
-    "--T": ["x", "0", "-1", "1.5", str(-(2**70))],
+    "--mu": [*UNPARSABLE, "-inf", "0", "10", "1e300", "-1e300", "1.7e308", "-1.7e308", "1e-300", "-1e5"],
+    "--seed": [*UNPARSABLE, "-1", "1.5", str(2**64), str(2**64 - 1)],
+    "--paths": [*UNPARSABLE, "0", "-1", "1", "1.5", str(-(2**70))],
+    "--T": [*UNPARSABLE, "0", "-1", "1.5", str(-(2**70))],
 }
 # (verb, flag, value); --T is a flag of example-5-2 only.
 FUZZ_FLAG_SITES = [
@@ -404,8 +405,26 @@ def test_fuzz_one_bad_flag(site, kind, fmt):
     assert rc in (0, 1, 2), (verb, rc)
     if rc == 1:
         err = stderr.getvalue()
-        assert "config error at " in err or f"error: argument {flag}:" in err, (verb, err)
+        assert err.startswith("config error at "), (verb, err)
     assert not NON_FINITE.search(stdout.getvalue()), (verb, stdout.getvalue())
+
+
+@pytest.mark.parametrize("mu", ["1.7e308", "-1.7e308"])
+def test_mu_near_double_limit_same_outcome_for_every_verb(mu, tmp_path, capsys):
+    """risk, cm, simulate and compare of the leg filter stop at the same step, without a warning."""
+    p = tmp_path / "ma1.json"
+    p.write_text(json.dumps({"model": FUZZ_MODELS["ma1"], **FUZZ_TOP, "filter": {"kind": "leg"}}))
+    for verb in ("risk", "cm", "simulate", "compare"):
+        assert run([verb, "--config", str(p), f"--mu={mu}"]) == 2, verb
+        err = capsys.readouterr().err
+        assert err == "numerical failure: innovation covariance at step 1 overflows double precision\n", (verb, err)
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--seed", "--paths"])
+def test_unparsable_flag_names_the_flag(flag, config_path, capsys):
+    assert run(["simulate", "--config", config_path, f"{flag}=x"]) == 1
+    assert capsys.readouterr().err == f"config error at {flag}: {flag[2:]} must be " + (
+        "a number" if flag == "--mu" else "an integer") + ", got 'x'\n"
 
 
 def test_correlated_scalar_model_verbs(tmp_path, capsys):

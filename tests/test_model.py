@@ -221,6 +221,57 @@ class TestRiskSpec:
         assert_allclose(S[0], A[0].T @ A[0] + np.eye(2), atol=1e-14)
 
 
+    def test_weight_blocks_name_the_first_failing_step(self):
+        Q = np.tile(np.eye(2), (5, 1, 1))
+        Q[3] = [[1.0, 0.0], [0.0, -0.5]]
+        Q[4, 0, 1] = np.nan
+        with pytest.raises(NotPositiveSemidefinite, match=r"^weight matrix Q at step 4 is not positive "
+                                                          r"semidefinite \(worst eigenvalue -5\.000e-01\)$"):
+            rf.RiskSpec(mu=-1.0, Q=Q)
+        Q[3] = np.eye(2)
+        with pytest.raises(NotPositiveSemidefinite,
+                           match=r"^weight matrix Q at step 5 has entries that are not finite in double precision$"):
+            rf.RiskSpec(mu=-1.0, Q=Q)
+
+
+def _with_floor(factor, N=12, seed=5):
+    """A symmetric matrix whose smallest eigenvalue is factor * PSD_TOL * trace."""
+    rng = np.random.default_rng(seed)
+    vecs = np.linalg.qr(rng.normal(size=(N, N)))[0]
+    rest = rng.uniform(0.5, 2.0, N - 1)
+    low = factor * rf.model.PSD_TOL * rest.sum() / (1.0 - factor * rf.model.PSD_TOL)
+    return (vecs * np.concatenate([[low], rest])) @ vecs.T
+
+
+class TestCheckPsd:
+    """The Cholesky certificate keeps the eigenvalue test's verdicts and messages."""
+
+    @pytest.mark.parametrize("factor", [-0.4, -0.99, 0.0])
+    def test_inside_the_floor_passes(self, factor):
+        rf.model.check_psd(_with_floor(factor), "table")
+
+    def test_below_the_floor_fails_with_the_worst_eigenvalue(self):
+        mat = _with_floor(-1.01)
+        worst = float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
+        assert worst < -rf.model.PSD_TOL * np.trace(mat)
+        with pytest.raises(NotPositiveSemidefinite) as info:
+            rf.model.check_psd(mat, "table")
+        assert str(info.value) == f"table is not positive semidefinite (worst eigenvalue {worst:.3e})"
+        assert info.value.worst_eigenvalue == worst
+
+    def test_singular_psd_passes(self):
+        v = np.arange(1.0, 7.0)
+        rf.model.check_psd(np.outer(v, v), "rank one")
+        rf.model.check_psd(np.zeros((4, 4)), "zero")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_table_fails(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        with pytest.raises(NotPositiveSemidefinite, match="^table has entries that are not finite"):
+            rf.model.check_psd(mat, "table")
+
+
 class TestSampling:
     def test_zero_paths(self):
         model = rf.build_ma1(0.3, 1.0, 3)

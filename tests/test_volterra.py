@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import rsfilt as rf
 from rsfilt.errors import InfeasibleCondition, SingularInnovationMatrix
-from rsfilt.volterra import CLAUSE_DENOM, CLAUSE_DIAG
+from rsfilt.volterra import CLAUSE_DENOM, CLAUSE_DIAG, PANEL
 
 from conftest import fgn_kernel, random_scalar_model
 
@@ -43,6 +44,9 @@ def dense_verdict(model, risk):
     By inertia additivity the steps through s are feasible exactly when the
     observation block of steps 1..s has as many negative eigenvalues as the
     Qp_t blocks of those steps. Columns after the first violation stay zero.
+    An auxiliary coordinate whose row of Qp_t is zero observes nothing and is
+    left out, so mu = 0 and zero weights work (Qp_t's nonzero rows must be
+    independent, as for diagonal Q).
     """
     T, n, m = model.horizon, model.n, model.m
     K = model.flat_cov()
@@ -63,7 +67,7 @@ def dense_verdict(model, risk):
         table[s:, s] = col[s * n :].reshape(T - s, n, n)
         if np.linalg.eigvalsh(table[s, s])[0] < -1e-12 * max(np.trace(table[s, s]), 1.0):
             return (False, s + 1, CLAUSE_DIAG), table
-        obs += [*range(s * m, (s + 1) * m), *range(T * m + s * n, T * m + (s + 1) * n)]
+        obs += [*range(s * m, (s + 1) * m), *(T * m + s * n + i for i in range(n) if np.any(Qp[s, i]))]
         negative += np.count_nonzero(np.linalg.eigvalsh(Qp[s]) < 0)
         if np.count_nonzero(np.linalg.eigvalsh(cov_oo[np.ix_(obs, obs)]) < 0) != negative:
             return (False, s + 1, CLAUSE_DENOM), table
@@ -422,6 +426,128 @@ class TestCorrelatedSolver:
             cond = rf.condition(aug, idx, np.zeros(len(idx)))
             i = cond.index(("x", t, 0))
             assert_allclose(sol.gamma_bar[t - 1, t - 1, 0, 0], cond.cov[i, i], atol=1e-10)
+
+
+def vector_corr_models(seed, op, T=100):
+    """The models of the vector_corr benchmark's op ``op``: every op's generator
+    built as a vector model, and a preset op's also as its preset, each with its
+    (T, 2, 2) weight blocks."""
+    kinds = ("vector", "ar1_noise", "ma1_observations")
+    kind = kinds[op % 3]
+
+    def draw():
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(op,)))
+
+    g = draw()
+    c = g.normal(size=2)
+    lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+    K = fgn_kernel(T, float(g.uniform(0.6, 0.9)))[:, :, None, None] * (np.outer(c, c) + 0.1 * np.eye(2))
+    K = K + (float(g.uniform(0.3, 0.9)) ** lag)[:, :, None, None] * np.diag(g.uniform(0.2, 1.0, 2))
+    model = rf.build_vector_model(g.normal(size=(T, 2)) * 0.3, K, g.uniform(0.5, 1.5, (T, 1, 2)))
+    out = [("vector", model, g.uniform(0.5, 1.5, T)[:, None, None] * np.eye(2))]
+    if kind == "vector":
+        return out
+    g = draw()
+    if kind == "ar1_noise":
+        a, b, alpha, beta = g.uniform(0.5, 0.95, T), g.uniform(-0.8, 0.8), g.uniform(0.5, 1.5, T), g.uniform(-0.8, 0.8)
+        preset = rf.build_ar1_noise(a, b, alpha, beta, T)
+    else:
+        lam, alpha, beta = g.uniform(-0.8, 0.8), g.uniform(0.5, 1.5, T), g.uniform(-0.8, 0.8)
+        preset = rf.build_ma1_observations(lam, alpha, beta, T)
+    # the presets penalize X_t only, not eps_{t-1}
+    return out + [(kind, preset, g.uniform(0.5, 1.5, T)[:, None, None] * np.diag([1.0, 0.0]))]
+
+
+class TestLeftLookingKernel:
+    """Step checks run a panel late; the verdict is still the step-by-step one."""
+
+    @pytest.mark.parametrize("later", ["singular", "overflow"])
+    def test_violation_before_a_failing_step_is_reported(self, later):
+        # Step 2 is infeasible (1 + S_2 gbar_2 = -8); step 3, in the same panel, fails on its own.
+        T = 6
+        C = np.zeros((T, T))
+        Q = np.full(T, 0.1)
+        if later == "singular":
+            C[2, 2] = -1.0  # Y_3 = X_3 + eps_3 with Cov(X_3, eps_3) = -Var X_3: a noiseless zero
+        else:
+            Q[2] = 1e300  # V_3 overflows
+        model = rf.build_vector_model(np.zeros(T), np.eye(T), np.ones(T), C)
+        with pytest.raises(SingularInnovationMatrix, match=f"step 3 {'is singular' if later == 'singular' else 'overflows'}"):
+            rf.solve_volterra_correlated(model, rf.RiskSpec(mu=1.0, Q=Q))
+        Q[1] = 10.0
+        sol = rf.solve_volterra_correlated(model, rf.RiskSpec(mu=1.0, Q=Q))
+        assert (sol.feasible, sol.first_violation, sol.violated_clause) == (False, 2, CLAUSE_DENOM)
+        assert np.all(np.isfinite(sol.gamma_bar))
+        assert not np.any(sol.gamma_bar[:, 2:])
+        assert_allclose(sol.gamma_bar[:, :2, 0, 0], np.eye(T)[:, :2], atol=1e-15)
+
+    def test_step_failing_two_checks_reports_the_first(self):
+        # gbar_1 = diag(1, -1) is not PSD and V_1 = 1 + A_1 gbar_1 A_1' = 0 is singular.
+        T = 3
+        cov = np.zeros((T, T, 2, 2))
+        cov[np.arange(T), np.arange(T)] = np.eye(2)
+        cov[0, 0] = np.diag([1.0, -1.0])
+        model = rf.GaussianModel(mean=np.zeros((T, 2)), cov=cov, gains=np.tile([[0.0, 1.0]], (T, 1, 1)))
+        sol = rf.solve_volterra_matrix(model, rf.RiskSpec(mu=0.0, Q=np.zeros(T)))
+        assert (sol.feasible, sol.first_violation, sol.violated_clause) == (False, 1, CLAUSE_DIAG)
+        assert not np.any(sol.gamma_bar[:, 1:])
+
+    def test_violation_inside_a_panel(self):
+        T, step = 80, 45
+        assert 1 < (step - 1) % PANEL < PANEL - 1
+        rng = np.random.default_rng(45)
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        K = (fgn_kernel(T, 0.7)[:, :, None, None] * np.array([[1.0, 0.3], [0.3, 0.5]])
+             + (0.6 ** lag)[:, :, None, None] * np.diag([0.4, 0.8]))
+        model = rf.build_vector_model(np.zeros((T, 2)), K, rng.uniform(0.5, 1.5, (T, 1, 2)))
+        Q = np.tile(0.05 * np.eye(2), (T, 1, 1))
+        Q[step - 1] = 50.0 * np.eye(2)
+        risk = rf.RiskSpec(mu=1.0, Q=Q)
+        want, table = dense_verdict(model, risk)
+        assert want == (False, step, CLAUSE_DENOM)
+        sol = rf.solve_volterra_matrix(model, risk)
+        assert (sol.feasible, sol.first_violation, sol.violated_clause) == want
+        assert_allclose(sol.gamma_bar, table, rtol=1e-9, atol=1e-9)
+        assert not np.any(sol.gamma_bar[:, step:])
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.5, 1.0])
+    def test_weights_of_varying_rank(self, mu):
+        # Q_t has rank 0, 1 (either component) or 2, so steps observe 1, 2 or 3 rows.
+        T = 40
+        rng = np.random.default_rng(41)
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        K = (fgn_kernel(T, 0.8)[:, :, None, None] * np.array([[1.0, -0.4], [-0.4, 0.6]])
+             + (0.5 ** lag)[:, :, None, None] * np.diag([0.3, 0.7]))
+        model = rf.build_vector_model(rng.normal(size=(T, 2)), K, rng.uniform(0.5, 1.5, (T, 1, 2)))
+        pattern = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])[rng.integers(0, 4, T)]
+        Q = rng.uniform(0.2, 1.0, (T, 2))[:, :, None] * pattern[:, :, None] * np.eye(2)
+        risk = rf.RiskSpec(mu=mu, Q=Q)
+        want, table = dense_verdict(model, risk)
+        sol = rf.solve_volterra_matrix(model, risk)
+        assert (sol.feasible, sol.first_violation, sol.violated_clause) == want
+        assert_allclose(sol.gamma_bar, table, rtol=1e-9, atol=1e-9)
+        if mu == 0.0:  # zero weights everywhere: the plain prediction-error table
+            assert_allclose(sol.gamma_bar, rf.solve_volterra_matrix(model, rf.RiskSpec(mu=0.0, Q=np.zeros(T))).gamma_bar,
+                            rtol=0, atol=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_vector_corr_grid_verdicts(self, seed):
+        # 320 of the 960 recorded solves per seed; the vector models' positive-mu
+        # verdicts are also checked against the dense joint.
+        doc = json.loads((Path(__file__).parent / "data" / "vector_corr_verdicts.json").read_text())
+        recorded = {tuple(row[:4]): tuple(row[4:]) for row in doc["verdicts"] if row[0] == seed}
+        assert len(recorded) == 320
+        mus = sorted({key[3] for key in recorded})
+        for op in range(24):
+            for name, model, Q in vector_corr_models(seed, op):
+                for mu in mus:
+                    risk = rf.RiskSpec(mu=mu, Q=Q)
+                    sol = (rf.solve_volterra_matrix if name == "vector" else rf.solve_volterra_correlated)(model, risk)
+                    got = (sol.feasible, sol.first_violation, sol.violated_clause)
+                    assert got == recorded.pop((seed, op, name, mu)), (op, name, mu)
+                    if name == "vector" and op % 3 == 0 and mu > 0:
+                        assert got == dense_verdict(model, risk)[0], (op, mu)
+        assert not recorded
 
 
 class TestAr1Riccati:
