@@ -242,8 +242,19 @@ def _flag_type(parse, flag, what):
     return convert
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its parse errors as config errors at the offending token."""
+
+    def error(self, message):
+        head, _, rest = message.partition(": ")
+        if head.startswith("argument "):  # argument X: what is wrong with it
+            raise ConfigError(rest, field=head[len("argument "):])
+        token = (rest.split() or [head])[0]  # the first unrecognized or missing one
+        raise ConfigError(message, field=token.split("=")[0].rstrip(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rsfilt",
         description="Risk-sensitive filtering for general Gaussian signal models.",
     )
@@ -284,8 +295,8 @@ def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit as exc:  # argparse's usage errors and --help
-        return 1 if exc.code not in (0, None) else 0
+    except SystemExit:  # --help
+        return 0
     except ConfigError as exc:
         where = f" at {exc.field}" if exc.field else ""
         print(f"config error{where}: {exc}", file=sys.stderr)

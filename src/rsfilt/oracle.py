@@ -352,12 +352,16 @@ def _unpack(theta: np.ndarray, T: int) -> AffineFilter:
 
 
 def _affine_criterion(model: GaussianModel, risk: RiskSpec, extra_x_weight=None):
-    """theta -> E mu exp((mu/2) [sum_t Q_t e_t^2 + sum_t R_t X_t^2]) for a packed affine filter.
+    """(k, dim) stack of packed affine filters -> (values, min eigenvalues) of
+    E mu exp((mu/2) [sum_t Q_t e_t^2 + sum_t R_t X_t^2]), k each.
 
     The (X, Y) joint is assembled and validated once. A filter (c, G) gives
     w = M (X, Y) - (c, 0), M = [I, -G] stacked over [I, 0] when R is given;
-    with P = -mu diag(Q, R) = +-D and D^(1/2) folded into M's rows, a call is
-    one symmetric eigensolve of D^(1/2) Cov(w) D^(1/2) in the T or 2T dims of w.
+    with P = -mu diag(Q, R) = +-D and D^(1/2) folded into M's rows, a row is
+    one symmetric eigensolve of D^(1/2) Cov(w) D^(1/2) in the T or 2T dims of w,
+    and the stack is one batched eigensolve. A row whose 1 + min eigenvalue is
+    at most DIVERGE_TOL diverges and has value inf; every row's value depends
+    on that row alone.
     """
     if risk.mu == 0.0:
         raise DomainError("criterion value is undefined at mu = 0")
@@ -377,16 +381,19 @@ def _affine_criterion(model: GaussianModel, risk: RiskSpec, extra_x_weight=None)
     M = root[:, None] * np.tile(np.eye(T, 2 * T), (weights.shape[0] // T, 1))
     rows, cols = np.tril_indices(T)
 
-    def criterion(theta) -> float:
-        M[rows, T + cols] = -root[rows] * theta[T:]
-        d = M @ mean
-        d[:T] -= root[:T] * theta[:T]
-        beta, V = np.linalg.eigh(M @ cov @ M.T)
+    def criterion(thetas):
+        Ms = np.repeat(M[None], thetas.shape[0], axis=0)
+        Ms[:, rows, T + cols] = -root[rows] * thetas[:, T:]
+        d = Ms @ mean
+        d[:, :T] -= root[:T] * thetas[:, :T]
+        beta, V = np.linalg.eigh(Ms @ cov @ Ms.transpose(0, 2, 1))
         lam = sign * beta
-        if 1.0 + lam.min() <= DIVERGE_TOL:
-            raise TransformDiverges(f"affine-filter criterion diverges (min eigenvalue 1+{lam.min():.3e})")
-        v = d @ V
-        return mu * float(np.exp(-0.5 * (np.log1p(lam).sum() + sign * (v * v / (1.0 + lam)).sum())))
+        lam_min = lam.min(axis=1)
+        ok = 1.0 + lam_min > DIVERGE_TOL
+        lam, v = lam[ok], (d[ok, None, :] @ V[ok])[:, 0]
+        values = np.full(thetas.shape[0], np.inf)
+        values[ok] = mu * np.exp(-0.5 * (np.log1p(lam).sum(axis=1) + sign * (v * v / (1.0 + lam)).sum(axis=1)))
+        return values, lam_min
 
     return criterion
 
@@ -400,36 +407,65 @@ def exact_affine_risk(model: GaussianModel, risk: RiskSpec, filt: AffineFilter, 
     allowed with scalar observations; the criterion then weighs the first
     signal component.
     """
-    return _affine_criterion(model, risk, extra_x_weight)(_pack(filt))
+    (value,), (lam_min,) = _affine_criterion(model, risk, extra_x_weight)(_pack(filt)[None])
+    if 1.0 + lam_min <= DIVERGE_TOL:
+        raise TransformDiverges(f"affine-filter criterion diverges (min eigenvalue 1+{lam_min:.3e})")
+    return float(value)
 
 
-def _pattern_search(f, x0, step0=0.25, tol=1e-9, budget=100000):
-    """Compass search with step doubling on success and halving on failure."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
-    n_eval = 1
-    step = float(step0)
-    dim = x.shape[0]
+def _compass(x, step, tol, budget):
+    """One compass search as a coroutine: yields (k, dim) trial stacks, is sent their values.
+
+    A round yields both signs of every coordinate left in the sweep, at the
+    current point, and replays their values in sweep order (+ before -) up to
+    the first improvement; later values are dropped uncounted. The iterates
+    and the evaluation count are those of the one-trial-at-a-time loop.
+    Returns (x, fx, n_eval, converged).
+    """
+    (fx,) = yield x[None]
+    n_eval, dim = 1, x.shape[0]
+    coords, signs = np.arange(dim).repeat(2), np.tile([1.0, -1.0], dim)
     while step > tol and n_eval < budget:
-        improved = False
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sign * step
-                ft = f(trial)
+        improved, i = False, 0
+        while i < dim:
+            trials = np.repeat(x[None], 2 * (dim - i), axis=0)
+            trials[np.arange(trials.shape[0]), coords[2 * i :]] += signs[2 * i :] * step
+            values = yield trials
+            first, i = i, dim  # the sweep ends with this round unless an improvement resumes it
+            for j, ft in enumerate(values):
                 n_eval += 1
                 if ft < fx - 1e-18:
-                    x, fx = trial, ft
-                    improved = True
+                    x, fx, improved = trials[j], ft, True
+                    if n_eval < budget:
+                        i = first + j // 2 + 1  # the sweep goes on from the new point
                     break
-            if n_eval >= budget:
-                break
-        if improved:
-            step = min(step * 2.0, 1.0)
-        else:
-            step *= 0.5
-    converged = step <= tol
-    return x, fx, n_eval, converged
+                if j % 2 and n_eval >= budget:  # the budget is checked after each coordinate
+                    break
+        step = min(step * 2.0, 1.0) if improved else step * 0.5
+    return x, fx, n_eval, step <= tol
+
+
+def _pattern_search(f, starts, step0=0.25, tol=1e-9, budget=100000):
+    """Compass searches (step doubling on success, halving on failure) from
+    each of ``starts``, each with its own ``budget``, run in lockstep: a round
+    concatenates the running searches' trial stacks into one call of ``f``,
+    which maps a (k, dim) stack to k values, each depending on its row alone,
+    so every search takes the path it takes by itself. Returns one
+    (x, fx, n_eval, converged) per start.
+    """
+    searches = [_compass(np.asarray(x, dtype=float), float(step0), tol, budget) for x in starts]
+    pending = {k: next(s) for k, s in enumerate(searches)}
+    results = [None] * len(searches)
+    while pending:
+        values = f(np.concatenate(list(pending.values()))).tolist()
+        for k, trials in list(pending.items()):
+            part, values = values[: trials.shape[0]], values[trials.shape[0] :]
+            try:
+                pending[k] = searches[k].send(part)
+            except StopIteration as done:
+                results[k] = done.value
+                del pending[k]
+    return results
 
 
 def minimize_affine_risk(model: GaussianModel, risk: RiskSpec, extra_x_weight=None,
@@ -437,8 +473,11 @@ def minimize_affine_risk(model: GaussianModel, risk: RiskSpec, extra_x_weight=No
     """Brute-force minimization of the exponential criterion over causal affine filters.
 
     Starts the compass search from the risk-neutral filter's coefficients
-    for the first signal component (plus perturbed restarts) and returns
-    (AffineFilter, risk value).
+    for the first signal component and from ``starts - 1`` perturbed
+    restarts, each with ``budget // starts`` evaluations; the restarts run
+    in lockstep, one batched eigensolve per round. Returns the best
+    (AffineFilter, risk value); raises NoConvergence when the best search
+    did not converge and the searches spent the whole budget.
     """
     if model.m != 1:
         raise DimensionMismatch("affine-risk minimization requires scalar observations")
@@ -450,26 +489,14 @@ def minimize_affine_risk(model: GaussianModel, risk: RiskSpec, extra_x_weight=No
         return start, risk.mu  # flat objective
 
     criterion = _affine_criterion(model, risk, extra_x_weight)
-
-    def objective(theta):
-        try:
-            return criterion(theta)
-        except TransformDiverges:
-            return np.inf
-
     x0 = _pack(start)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240117)))
-    best = None
-    total_evals = 0
-    for k in range(starts):
-        xk = x0 if k == 0 else x0 + rng.normal(scale=0.05, size=x0.shape)
-        x, fx, n_eval, converged = _pattern_search(objective, xk, tol=tol, budget=budget // starts)
-        total_evals += n_eval
-        if best is None or fx < best[1]:
-            best = (x, fx, converged)
-    if not best[2] and total_evals >= budget:
+    xs = [x0 if k == 0 else x0 + rng.normal(scale=0.05, size=x0.shape) for k in range(starts)]
+    runs = _pattern_search(lambda thetas: criterion(thetas)[0], xs, tol=tol, budget=budget // starts)
+    x, fx, _, converged = min(runs, key=lambda run: run[1])  # the first of equal values
+    if not converged and sum(run[2] for run in runs) >= budget:
         raise NoConvergence(f"affine risk minimization did not converge within {budget} evaluations")
-    return _unpack(best[0], T), float(best[1])
+    return _unpack(x, T), float(fx)
 
 # --- backward Riccati example -------------------------------------------------
 

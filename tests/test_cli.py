@@ -378,14 +378,17 @@ FUZZ_FLAGS = {
     "--seed": [*UNPARSABLE, "-1", "1.5", str(2**64), str(2**64 - 1)],
     "--paths": [*UNPARSABLE, "0", "-1", "1", "1.5", str(-(2**70))],
     "--T": [*UNPARSABLE, "0", "-1", "1.5", str(-(2**70))],
+    "--format": ["xml", ""],
+    "--bogus": ["1", ""],
 }
-# (verb, flag, value); --T is a flag of example-5-2 only.
+# (verb, flag, value); --T is a flag of example-5-2 only. The unknown verb
+# "bogus" and the missing verb (None) are argparse errors like --bogus.
 FUZZ_FLAG_SITES = [
     (verb, flag, value)
     for verb in [*CONFIG_VERBS, "example-5-2"]
     for flag, values in FUZZ_FLAGS.items() if flag != "--T" or verb == "example-5-2"
     for value in values
-]
+] + [("bogus", "--mu", "1"), (None, "--mu", "1")]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -398,14 +401,15 @@ def test_fuzz_one_bad_flag(site, kind, fmt):
         config = f"{tmp}/config.json"
         with open(config, "w") as fh:
             json.dump({"model": FUZZ_MODELS[kind], **FUZZ_TOP}, fh)
+        head = [] if verb is None else [verb]
         source = [] if verb == "example-5-2" else ["--config", config]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = run([verb, *source, "--format", fmt, f"{flag}={value}"])
+            rc = run([*head, *source, "--format", fmt, f"{flag}={value}"])
     assert rc in (0, 1, 2), (verb, rc)
     if rc == 1:
         err = stderr.getvalue()
-        assert err.startswith("config error at "), (verb, err)
+        assert err.startswith("config error at ") and "usage:" not in err, (verb, err)
     assert not NON_FINITE.search(stdout.getvalue()), (verb, stdout.getvalue())
 
 
@@ -425,6 +429,26 @@ def test_unparsable_flag_names_the_flag(flag, config_path, capsys):
     assert run(["simulate", "--config", config_path, f"{flag}=x"]) == 1
     assert capsys.readouterr().err == f"config error at {flag}: {flag[2:]} must be " + (
         "a number" if flag == "--mu" else "an integer") + ", got 'x'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["risk", "--bogus"], "config error at --bogus: unrecognized arguments: --bogus\n"),
+    (["bogus"], "config error at verb: invalid choice: 'bogus' (choose from 'validate', 'filter', "
+                "'risk', 'cm', 'simulate', 'compare', 'example-5-2')\n"),
+    ([], "config error at verb: the following arguments are required: verb\n"),
+    (["risk", "--format=xml"], "config error at --format: invalid choice: 'xml' (choose from 'csv', 'json')\n"),
+    (["risk", "--mu"], "config error at --mu: expected one argument\n"),
+])
+def test_parse_errors_are_config_errors(argv, err, capsys):
+    """Every argparse error exits 1 in the config-error format, with no usage block."""
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["risk", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: rsfilt")
 
 
 def test_correlated_scalar_model_verbs(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
-from rsfilt.errors import DomainError, SingularConditioning, TransformDiverges
+from rsfilt.errors import DomainError, NoConvergence, SingularConditioning, TransformDiverges
 
 from conftest import fgn_kernel, random_scalar_model
+from test_acceptance import feasible_instance
 
 
 def hermite_expectation_2d(mU, mV, gU, gV, gUV, D, l1, l2, order=80):
@@ -456,3 +460,185 @@ class TestLegVsRsExample:
             hbar = rep["computed"]["hbar1_coeff_exact_tilt"]
             hhat = rep["computed"]["hhat1_coeff"]
             assert abs(hbar - hhat) > 0.02
+
+
+# --- the stacked compass search against the one-trial-at-a-time search -------
+#
+# legacy_criterion and legacy_pattern_search are the one-point criterion and
+# compass search that the stacked, lockstep search replaced, kept verbatim as
+# the reference it must reproduce bit for bit.
+
+def legacy_criterion(model, risk, extra_x_weight=None):
+    T, n, mu = model.horizon, model.n, risk.mu
+    joint = rf.assemble_joint(model)
+    keep = np.concatenate([np.arange(T) * n, T * n + np.arange(T)])
+    mean, cov = joint.mean[keep], joint.cov[np.ix_(keep, keep)]
+    weights = risk.q_vector()
+    if extra_x_weight is not None:
+        weights = np.concatenate([weights, np.asarray(extra_x_weight, dtype=float)])
+    sign = -np.sign(mu)
+    root = np.sqrt(abs(mu) * weights)
+    M = root[:, None] * np.tile(np.eye(T, 2 * T), (weights.shape[0] // T, 1))
+    rows, cols = np.tril_indices(T)
+
+    def criterion(theta) -> float:
+        M[rows, T + cols] = -root[rows] * theta[T:]
+        d = M @ mean
+        d[:T] -= root[:T] * theta[:T]
+        beta, V = np.linalg.eigh(M @ cov @ M.T)
+        lam = sign * beta
+        if 1.0 + lam.min() <= rf.oracle.DIVERGE_TOL:
+            raise TransformDiverges(f"affine-filter criterion diverges (min eigenvalue 1+{lam.min():.3e})")
+        v = d @ V
+        return mu * float(np.exp(-0.5 * (np.log1p(lam).sum() + sign * (v * v / (1.0 + lam)).sum())))
+
+    return criterion
+
+
+def legacy_pattern_search(f, x0, step0=0.25, tol=1e-9, budget=100000):
+    x = np.asarray(x0, dtype=float).copy()
+    fx = f(x)
+    n_eval = 1
+    step = float(step0)
+    dim = x.shape[0]
+    while step > tol and n_eval < budget:
+        improved = False
+        for i in range(dim):
+            for sign in (1.0, -1.0):
+                trial = x.copy()
+                trial[i] += sign * step
+                ft = f(trial)
+                n_eval += 1
+                if ft < fx - 1e-18:
+                    x, fx = trial, ft
+                    improved = True
+                    break
+            if n_eval >= budget:
+                break
+        if improved:
+            step = min(step * 2.0, 1.0)
+        else:
+            step *= 0.5
+    converged = step <= tol
+    return x, fx, n_eval, converged
+
+
+def search_starts(model, starts=5):
+    """The packed risk-neutral start and its perturbed restarts, as minimize_affine_risk draws them."""
+    T = model.horizon
+    neutral = rf.leg_affine(model, rf.RiskSpec(mu=0.0, Q=np.zeros(T)))
+    first = np.arange(T) * model.n
+    x0 = rf.oracle._pack(rf.AffineFilter(intercept=neutral.intercept[first], gains=neutral.gains[first]))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240117)))
+    return [x0 if k == 0 else x0 + rng.normal(scale=0.05, size=x0.shape) for k in range(starts)]
+
+
+def assert_same_search(model, risk, extra=None, budget=100000, starts=5):
+    """minimize_affine_risk's per-start searches and its outcome equal the legacy search's.
+
+    Returns the number of legacy trials that diverged.
+    """
+    legacy, diverged = legacy_criterion(model, risk, extra), []
+
+    def objective(theta):
+        try:
+            return legacy(theta)
+        except TransformDiverges:
+            diverged.append(theta)
+            return np.inf
+
+    old = [legacy_pattern_search(objective, x, budget=budget // starts) for x in search_starts(model, starts)]
+    best = None  # the legacy minimize_affine_risk's choice and convergence rule
+    for x, fx, _, conv in old:
+        if best is None or fx < best[1]:
+            best = (x, fx, conv)
+
+    new, search = [], rf.oracle._pattern_search
+
+    def spy(*args, **kwargs):
+        new.extend(search(*args, **kwargs))
+        return new
+
+    with mock.patch.object(rf.oracle, "_pattern_search", spy):
+        if not best[2] and sum(run[2] for run in old) >= budget:
+            with pytest.raises(NoConvergence, match=f"within {budget} evaluations"):
+                rf.minimize_affine_risk(model, risk, extra_x_weight=extra, budget=budget, starts=starts)
+        else:
+            fit, value = rf.minimize_affine_risk(model, risk, extra_x_weight=extra, budget=budget, starts=starts)
+            expect = rf.oracle._unpack(best[0], model.horizon)
+            assert value == best[1]
+            assert np.array_equal(fit.intercept, expect.intercept) and np.array_equal(fit.gains, expect.gains)
+    for (x, fx, n, conv), (x2, fx2, n2, conv2) in zip(old, new, strict=True):
+        assert np.array_equal(x, x2) and fx == fx2 and n == n2 and conv == conv2, (fx, fx2, n, n2)
+    return len(diverged)
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_tilted_walk_example(self, T):
+        walk = rf.build_ar1(np.ones(T), np.ones(T), 0.0, np.ones(T), T)
+        assert_same_search(walk, rf.RiskSpec(mu=-1.0, Q=np.ones(T)), extra=np.ones(T))
+        first = np.concatenate([[1.0], np.zeros(T - 1)])
+        assert_same_search(walk, rf.RiskSpec(mu=-1.0, Q=first), extra=first)
+
+    def test_criterion_2_instances(self):
+        rng = np.random.default_rng(202)
+        mus = [-1.0, -0.5, -1.0, 0.1]
+        for i in range(20):
+            T = int(rng.integers(1, 4))
+            model, risk = feasible_instance(rng, T, mus[i % len(mus)])
+            assert_same_search(model, risk)
+
+    def test_diverging_trials(self):
+        model = rf.build_ar1(0.8, 0.6, 0.4, 1.2, 3)
+        assert assert_same_search(model, rf.RiskSpec(mu=2.0, Q=np.ones(3))) > 0
+
+    @pytest.mark.parametrize("budget", [50, 307])
+    def test_budget_exhausted(self, budget):
+        model = rf.build_ar1(0.8, 0.6, 0.4, 1.2, 3)
+        with pytest.raises(NoConvergence):
+            rf.minimize_affine_risk(model, rf.RiskSpec(mu=-1.0, Q=np.ones(3)), budget=budget)
+        assert_same_search(model, rf.RiskSpec(mu=-1.0, Q=np.ones(3)), budget=budget)
+
+
+class TestStackedCriterion:
+    @pytest.mark.parametrize("name", ["ar1", "fgn", "vector"])
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_rows_are_independent(self, rng, name, extra):
+        """A k-row call equals k one-row calls and the legacy one-point criterion, bit for bit."""
+        model = reference_models(rng)[name]
+        T = model.horizon
+        for mu in (-1.0, 0.5):
+            # For mu > 0, small weights and filters scaled 0x to 4x mix finite and diverging rows.
+            scale = 1.0 if mu < 0 else 0.15
+            risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.3, 1.5, T) * scale)
+            weight = rng.uniform(0.2, 1.0, T) * scale if extra else None
+            thetas = np.stack([rf.oracle._pack(random_affine_filter(rng, T)) * s for s in np.linspace(0.0, 4.0, 12)])
+            criterion, legacy = rf.oracle._affine_criterion(model, risk, weight), legacy_criterion(model, risk, weight)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, lam_min = criterion(thetas)
+                for k, theta in enumerate(thetas):
+                    (one,), (one_min,) = criterion(theta[None])
+                    assert one == values[k] and one_min == lam_min[k]
+                    try:
+                        assert legacy(theta) == one
+                    except TransformDiverges:
+                        assert one == np.inf and 1.0 + one_min <= rf.oracle.DIVERGE_TOL
+            if mu > 0:
+                assert np.isinf(values).any() and np.isfinite(values).any()
+
+    def test_divergence_message_unchanged(self, rng):
+        model = rf.build_ar1(0.9, 0.8, 0.2, 1.1, 4)
+        filt = random_affine_filter(rng, 4)
+        raised = 0
+        for mu in np.linspace(0.05, 3.0, 60):
+            risk = rf.RiskSpec(mu=mu, Q=np.ones(4))
+            try:
+                legacy_criterion(model, risk)(rf.oracle._pack(filt))
+            except TransformDiverges as exc:
+                with pytest.raises(TransformDiverges) as got:
+                    rf.oracle.exact_affine_risk(model, risk, filt)
+                assert str(got.value) == str(exc)
+                raised += 1
+        assert raised > 0
