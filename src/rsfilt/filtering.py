@@ -89,12 +89,16 @@ def _lower_solve(gbar, w, d, R, B):
 
 
 def _solve_paths(gbar, w, d, R, B):
-    """``_lower_solve`` for R and B with the horizon on the last axis and paths on leading axes."""
+    """``_lower_solve`` for R and B with the horizon on the last axis and paths on leading axes.
+
+    One path goes in as (T,) vectors, so each step is one dot product; a batch goes in as (T, k) columns.
+    """
     shape = np.broadcast_shapes(np.shape(R), np.shape(B))
     T = len(d)
 
     def columns(a):
-        return np.broadcast_to(a, shape).reshape(-1, T).T
+        a = np.broadcast_to(a, shape)
+        return a if a.ndim == 1 else a.reshape(-1, T).T
 
     return _lower_solve(gbar, w, d, columns(R), columns(B)).T.reshape(shape)
 

@@ -29,7 +29,8 @@ COND_LIMIT = 1e12
 
 CLAUSE_DIAG = "gamma_bar_t >= 0"
 CLAUSE_DENOM = "1 + S_t * gamma_bar_t > 0"
-PANEL = 32  # steps of the correlated kernel per batch of step checks
+PANEL = 32  # columns per matrix product of the scalar kernel; steps per batch of checks of the correlated kernel
+_UPPER = ~np.tri(PANEL, dtype=bool)  # strict upper triangle of a panel's diagonal block
 OVERFLOW = "overflows double precision"
 
 
@@ -85,17 +86,20 @@ def sufficient_condition_positive_mu(model: GaussianModel, risk: RiskSpec) -> bo
     S = risk.s_values(model.gains1 if model.is_scalar else model.gains)
     if S.ndim == 1:
         return bool(np.all(S >= 0))
-    return bool(all(np.linalg.eigvalsh((St + St.T) / 2)[0] >= 0 for St in S))
+    return bool(np.all(np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2)[:, 0] >= 0))
 
 
 def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     """Scalar covariance recursion.
 
-    Fills gbar column by column: gbar(t, s) = K(t, s) minus the accumulated
-    corrections gbar(t, l) gbar(s, l) S_l / (1 + S_l gbar_l) over l < s, which
-    for all t >= s are one matrix-vector product. On the
-    first step where gbar_t < -tol or 1 + S_t gbar_t <= tol the solution is
-    marked infeasible and the remaining columns are left unfilled.
+    gbar(t, s) = K(t, s) minus the accumulated corrections gbar(t, l) gbar(s, l)
+    S_l / (1 + S_l gbar_l) over l < s: the left-looking LDL' elimination of
+    K + diag(1/S), by panels of ``PANEL`` columns (the panel that
+    ``solve_volterra_correlated`` checks its steps in). A panel's corrections
+    from earlier panels, for all t, are one matrix product; its own columns are
+    then finished and checked step by step, one matrix-vector product each. On
+    the first step where gbar_t < -tol or 1 + S_t gbar_t <= tol the solution is
+    marked infeasible and the remaining columns are left zero.
     """
     model._require_scalar()
     if model.cross_cov is not None:
@@ -110,11 +114,21 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
 
     gam = np.zeros((T, T))
     w = np.zeros(T)  # S_l / (1 + S_l * gbar_l)
+    Sf = S.tolist()
     feasible, violation, clause = True, None, None
     for s in range(T):
-        gam[s:, s] = K[s:, s] - gam[s:, :s] @ (gam[s, :s] * w[:s])
-        g = gam[s, s]
-        denom = 1.0 + float(S[s]) * float(g)  # Python floats overflow to inf without a warning
+        p = s - s % PANEL
+        if s == p:  # a new panel: one product brings its columns up to date with every earlier panel
+            q = min(p + PANEL, T)
+            panel = gam[p:, p:q]
+            panel[:] = K[p:, p:q]
+            if p:
+                panel -= gam[p:, :p] @ (gam[p:q, :p] * w[:p]).T
+            panel[: q - p][_UPPER[: q - p, : q - p]] = 0.0
+        col = gam[s:, s]
+        col -= gam[s:, p:s] @ (gam[s, p:s] * w[p:s])
+        g = col[0]
+        denom = 1.0 + Sf[s] * float(g)  # Python floats overflow to inf without a warning
         if g < -FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DIAG
         elif not math.isfinite(denom):
@@ -124,7 +138,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         if not feasible:
             gam[:, s + 1 :] = 0.0
             break
-        w[s] = S[s] / denom
+        w[s] = Sf[s] / denom
     return VolterraSolution(
         gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
         first_violation=violation, violated_clause=clause,

@@ -151,6 +151,26 @@ class TestLegFilter:
             assert abs(g - hbar[t - 1]) < 1e-6
 
 
+def test_one_path_matches_its_row_of_a_batch(rng):
+    # One path runs one dot product per step, a batch one matrix product: equal up to rounding.
+    T = 800
+    K = np.tril(fgn_kernel(T, 0.75))
+    model = rf.build_general(rng.normal(size=T) * 0.5, K, rng.uniform(0.5, 1.5, T))
+    risk = rf.RiskSpec(mu=-1.0, Q=rng.uniform(0.5, 1.5, T))
+    sol = rf.solve_volterra(model, risk)
+    Y = rng.normal(size=(3, T))
+    H = rf.leg_filter(model, risk, Y, solution=sol).h_bar
+    hc = random_causal_h(rng, Y)
+    batch = (H, rf.z_h(model, risk, Y, hc, solution=sol), rf.z_tilde(model, risk, Y, hc, solution=sol)[0])
+    for row in range(3):
+        one = (rf.leg_filter(model, risk, Y[row], solution=sol).h_bar,
+               rf.z_h(model, risk, Y[row], hc[row], solution=sol),
+               rf.z_tilde(model, risk, Y[row], hc[row], solution=sol)[0])
+        for got, want in zip(one, batch):
+            assert got.shape == (T,)
+            assert_allclose(got, want[row], rtol=1e-14, atol=1e-14 * np.max(np.abs(want[row])))
+
+
 class TestOptimalRisk:
     def test_mu_zero_errors(self, rng):
         model = random_scalar_model(rng, 3)

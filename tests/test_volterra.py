@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
-from rsfilt.errors import InfeasibleCondition, SingularInnovationMatrix
-from rsfilt.volterra import CLAUSE_DENOM, CLAUSE_DIAG, PANEL
+from rsfilt.errors import DimensionMismatch, InfeasibleCondition, SingularInnovationMatrix
+from rsfilt.volterra import CLAUSE_DENOM, CLAUSE_DIAG, FEAS_TOL, OVERFLOW, PANEL, _weights
 
 from conftest import fgn_kernel, random_scalar_model
 
@@ -146,6 +147,18 @@ class TestScalarSolver:
         assert rf.sufficient_condition_positive_mu(model, rf.RiskSpec(mu=0.5, Q=np.ones(T)))
         assert not rf.sufficient_condition_positive_mu(model, rf.RiskSpec(mu=2.0, Q=np.ones(T)))
 
+    def test_sufficient_condition_vector_model(self):
+        # S_t = I - mu Q_t; at step 4 Q_t = R diag(0.1, 5) R' gives S_4 one negative eigenvalue (-1.5).
+        T, mu = 6, 0.5
+        K = np.tril(fgn_kernel(T, 0.7))[:, :, None, None] * np.eye(2)
+        model = rf.build_vector_model(np.zeros((T, 2)), K, np.tile(np.eye(2), (T, 1, 1)))
+        c, s = np.cos(0.3), np.sin(0.3)
+        R = np.array([[c, -s], [s, c]])
+        Q = np.tile(0.1 * np.eye(2), (T, 1, 1))
+        assert rf.sufficient_condition_positive_mu(model, rf.RiskSpec(mu=mu, Q=Q))
+        Q[3] = R @ np.diag([0.1, 5.0]) @ R.T
+        assert not rf.sufficient_condition_positive_mu(model, rf.RiskSpec(mu=mu, Q=Q))
+
     def test_json_round_trip(self, rng):
         model = random_scalar_model(rng, 3)
         sol = rf.solve_volterra(model, rf.RiskSpec(mu=-1.0, Q=np.ones(3)))
@@ -195,6 +208,103 @@ class TestLongHorizonScalar:
         assert (sol.first_violation, sol.violated_clause) == (step + 1, clause)
         assert_allclose(sol.diag[: step + 1], g[: step + 1], rtol=1e-10, atol=1e-10)
         assert not np.any(sol.gamma_bar[:, step + 1 :])
+
+
+def legacy_solve_volterra(model, risk):
+    """The column-by-column scalar solve the panel kernel replaced, kept verbatim as its reference."""
+    model._require_scalar()
+    if model.cross_cov is not None:
+        raise SingularInnovationMatrix(
+            "scalar solver requires independent observation noise; use solve_volterra_correlated"
+        )
+    K = model.cov2
+    T = model.horizon
+    S = _weights(risk, model.gains1)
+    if S.shape != (T,):
+        raise DimensionMismatch(f"risk weights have horizon {S.shape[0]}, model has {T}")
+
+    gam = np.zeros((T, T))
+    w = np.zeros(T)  # S_l / (1 + S_l * gbar_l)
+    feasible, violation, clause = True, None, None
+    for s in range(T):
+        gam[s:, s] = K[s:, s] - gam[s:, :s] @ (gam[s, :s] * w[:s])
+        g = gam[s, s]
+        denom = 1.0 + float(S[s]) * float(g)  # Python floats overflow to inf without a warning
+        if g < -FEAS_TOL:
+            feasible, violation, clause = False, s + 1, CLAUSE_DIAG
+        elif not math.isfinite(denom):
+            raise SingularInnovationMatrix(f"innovation covariance at step {s + 1} {OVERFLOW}", step=s + 1)
+        elif denom <= FEAS_TOL:
+            feasible, violation, clause = False, s + 1, CLAUSE_DENOM
+        if not feasible:
+            gam[:, s + 1 :] = 0.0
+            break
+        w[s] = S[s] / denom
+    return rf.VolterraSolution(
+        gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
+        first_violation=violation, violated_clause=clause,
+    )
+
+
+def verdict(sol):
+    return sol.feasible, sol.first_violation, sol.violated_clause
+
+
+class TestPanelKernel:
+    """The panel-blocked scalar solve against the column loop it replaced:
+    same verdicts and exception steps, tables equal up to rounding."""
+
+    @staticmethod
+    def _model(T, scale=1.0, seed=13):
+        rng = np.random.default_rng(seed)
+        K = scale * fgn_kernel(T, 0.8)
+        model = rf.build_general(rng.normal(size=T), np.tril(K), rng.uniform(0.5, 1.5, T))
+        return model, K, rng.uniform(0.5, 1.5, T)
+
+    def _assert_matches_legacy(self, model, risk):
+        T = model.horizon
+        sol, ref = rf.solve_volterra(model, risk), legacy_solve_volterra(model, risk)
+        assert verdict(sol) == verdict(ref)
+        if T <= PANEL:
+            assert np.array_equal(sol.gamma_bar, ref.gamma_bar)
+        assert_allclose(sol.gamma_bar, ref.gamma_bar, rtol=1e-14, atol=1e-14 * np.max(np.abs(ref.gamma_bar)))
+        assert not np.any(sol.gamma_bar[np.triu_indices(T, 1)])
+        if not sol.feasible:
+            assert not np.any(sol.gamma_bar[:, sol.first_violation :])
+        return sol
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("T", [1, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1, 100, 800])
+    def test_matches_legacy(self, T, mu):
+        model, _, Q = self._model(T)
+        self._assert_matches_legacy(model, rf.RiskSpec(mu=mu, Q=Q))
+
+    @pytest.mark.parametrize("step", [PANEL, PANEL + 1, 2 * PANEL + 7, 100])
+    def test_violation_at_a_panel_edge_or_inside(self, step):
+        # A weight spike at one step: S_step = A^2 - 1e4 makes 1 + S gbar negative there and nowhere before.
+        T = 100
+        model, K, Q = self._model(T)
+        Q = np.full(T, 0.1)
+        Q[step - 1] = 1e4
+        risk = rf.RiskSpec(mu=1.0, Q=Q)
+        sol = self._assert_matches_legacy(model, risk)
+        assert verdict(sol) == (False, step, CLAUSE_DENOM)
+        S = model.gains1**2 - Q
+        g = ldl_pivots(K + np.diag(1.0 / S)) - 1.0 / S
+        want = next(s for s in range(T) if g[s] < -1e-12 or 1.0 + S[s] * g[s] <= 1e-12)
+        assert want + 1 == step
+        assert_allclose(sol.diag[:step], g[:step], rtol=1e-10, atol=1e-10)
+
+    def test_overflow_in_a_later_panel_raises_at_its_step(self):
+        # 1 + S_70 gbar_70 with S_70 = 1e308 and gbar_70 > 2 overflows; earlier steps are ordinary.
+        T, step = 100, 2 * PANEL + 6
+        model, _, Q = self._model(T, scale=4.0)
+        Q[step - 1] = 1e308
+        risk = rf.RiskSpec(mu=-1.0, Q=Q)
+        for solve in (legacy_solve_volterra, rf.solve_volterra):
+            with pytest.raises(SingularInnovationMatrix, match=f"step {step} {OVERFLOW}") as exc:
+                solve(model, risk)
+            assert exc.value.step == step
 
 
 class TestMatrixSolver:
