@@ -3,19 +3,19 @@
 Every filter is resolved to its causal affine map once, and with the joint
 factor of (X, eps) that map becomes one residual map from a path's standard
 normals z to its estimation error, so each batch costs one matrix product
-per filter. Each batch draws its normals from its own counter-based stream;
-a few threads draw them ahead of the batch loop, which changes no number.
-Per-batch partial sums are combined with ``math.fsum`` so results are
-reproducible independent of the batching. Filter comparisons reuse the same
-paths (common random numbers).
+per filter. Each batch draws its normals from its own counter-based stream.
+A run of several batches hands each batch to one of a few worker threads,
+which draws it, applies every residual map over tiles of paths and returns
+only the batch's partial sums; the calling thread folds them in batch order,
+so no number depends on the threads. Partial sums are combined with
+``math.fsum`` so results are reproducible independent of the batching.
+Filter comparisons reuse the same paths (common random numbers).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,12 @@ from .model import (
 
 EXP_CAP = 700.0
 OVERFLOW_FRACTION = 1e-3
-DRAW_WORKERS = 3  # most threads drawing normals ahead of the batch loop
+DRAW_WORKERS = 3  # most threads running Monte Carlo batches at once
+# Multiply-adds per tile of a batch's residual product: tiles of
+# max(1, TILE_MADDS // R.size) paths stay under the size at which OpenBLAS's
+# dgemm starts its own threads (about twice this), so on a run of several
+# batches only the batch workers compete for the cores.
+TILE_MADDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,33 +150,77 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _normals(seeds, sizes, width: int):
-    """Each batch's (size, width) standard normals, in batch order, drawn ahead on worker threads.
+def _batch(seed, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk: RiskSpec, exponential: bool,
+           tile: int):
+    """Draw one batch's normals into z and reduce them to partial sums; e is scratch with z's rows.
 
-    Batch b comes from its own Philox stream, so its numbers do not depend on
-    the thread that draws it. The draws fill a ring of workers + 1 buffers;
-    batch b + workers is submitted once batch b is taken, into the buffer of
-    batch b - 1, which the caller has finished with by then. A yielded array
-    is overwritten after the next one is requested.
+    Returns per filter (shift, sum u, sum u^2) and its exponent-cap count, and
+    for two filters the paired difference's (shift, sum d, sum d^2). The
+    products run stacked over tiles of ``tile`` paths, the last rows that do
+    not fill a tile as one more product.
     """
+    np.random.Generator(np.random.Philox(seed)).standard_normal(out=z)
+    n, width = z.shape
+    full = n - n % tile
+    log_space = exponential and risk.mu > 0
+    parts, capped, scaled = [], [], []
+    # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, R in maps:
+            np.matmul(z[:full].reshape(-1, tile, width), R.T, out=e[:full].reshape(-1, tile, len(r)))
+            np.matmul(z[full:], R.T, out=e[full:])
+            e += r
+            np.square(e, out=e)
+            u = np.empty(n)
+            np.matmul(e[:full].reshape(-1, tile, len(r)), Q, out=u[:full].reshape(-1, tile))
+            np.matmul(e[full:], Q, out=u[full:])
+            shift, over = 0.0, 0
+            if exponential:
+                expo = 0.5 * risk.mu * u
+                if log_space:
+                    over = int(np.count_nonzero(expo > EXP_CAP))
+                    shift = float(np.max(expo))
+                u = risk.mu * np.exp(expo - shift)
+            parts.append((shift, math.fsum(u.tolist()), math.fsum((u * u).tolist())))
+            capped.append(over)
+            scaled.append((u, shift))
+        diff = None
+        if len(maps) == 2:
+            (ua, sa), (ub, sb) = scaled
+            top = max(sa, sb)
+            d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
+            diff = (top, math.fsum(d.tolist()), math.fsum((d * d).tolist()))
+    return parts, capped, diff
+
+
+def _batch_results(seeds, sizes, width: int, maps, Q, risk, exponential: bool):
+    """Each batch's ``_batch`` result, in batch order.
+
+    One batch runs on the calling thread as one whole-batch product. Several
+    run as jobs on min(batches, cpus, DRAW_WORKERS) threads with tile-sized
+    products; their (z, e) buffers are allocated here, one pair per thread,
+    and pass between jobs through a free list.
+    """
+    T = len(Q)
+    if len(sizes) == 1:
+        n = sizes[0]
+        return [_batch(seeds[0], np.empty((n, width)), np.empty((n, T)), maps, Q, risk, exponential, n)]
     from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
 
     workers = min(len(sizes), _available_cpus(), DRAW_WORKERS)
-    ring = [np.empty((sizes[0], width)) for _ in range(workers + 1)]
+    tile = max(1, TILE_MADDS // (T * width))
+    free = [(np.empty((sizes[0], width)), np.empty((sizes[0], T))) for _ in range(workers)]
 
-    def draw(b):
-        out = ring[b % len(ring)][: sizes[b]]
-        np.random.Generator(np.random.Philox(seeds[b])).standard_normal(out=out)
-        return out
+    def job(b):
+        z, e = free.pop()  # at most `workers` jobs hold a pair at once
+        try:
+            return _batch(seeds[b], z[: sizes[b]], e[: sizes[b]], maps, Q, risk, exponential, tile)
+        finally:
+            free.append((z, e))
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        ahead = deque(pool.submit(draw, b) for b in range(workers))
-        for b in range(len(sizes)):
-            z = ahead.popleft().result()
-            if b + workers < len(sizes):
-                ahead.append(pool.submit(draw, b + workers))
-            yield z
+        return [f.result() for f in [pool.submit(job, b) for b in range(len(sizes))]]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -217,33 +266,10 @@ def _monte_carlo(configs):
 
     sizes = list(_batches(n, first.batch_size))
     batch_seeds = np.random.SeedSequence(first.seed).spawn(len(sizes))
-    parts = [[] for _ in maps]
-    diff_parts = []
-    n_overflow = [0] * len(maps)
-    # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
-    with contextlib.closing(_normals(batch_seeds, sizes, L.shape[0])) as batches, \
-            np.errstate(over="ignore", invalid="ignore"):
-        for z in batches:
-            scaled = []
-            for i, (r, R) in enumerate(maps):
-                e = z @ R.T
-                e += r
-                np.square(e, out=e)
-                u = e @ Q
-                shift = 0.0
-                if exponential:
-                    expo = 0.5 * risk.mu * u
-                    if log_space:
-                        n_overflow[i] += int(np.count_nonzero(expo > EXP_CAP))
-                        shift = float(np.max(expo))
-                    u = risk.mu * np.exp(expo - shift)
-                parts[i].append((shift, math.fsum(u), math.fsum(u * u)))
-                scaled.append((u, shift))
-            if len(maps) == 2:
-                (ua, sa), (ub, sb) = scaled
-                top = max(sa, sb)
-                d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
-                diff_parts.append((top, math.fsum(d), math.fsum(d * d)))
+    batch_parts, capped, diffs = zip(*_batch_results(batch_seeds, sizes, L.shape[0], maps, Q, risk, exponential))
+    parts = list(zip(*batch_parts))  # per filter, its batches' partials in batch order
+    n_overflow = [sum(counts) for counts in zip(*capped)]
+    diff_parts = [d for d in diffs if d is not None]
 
     if max(n_overflow) > OVERFLOW_FRACTION * n:
         raise OverflowDominated(

@@ -1,4 +1,9 @@
+import contextlib
+import math
 import sys
+import threading
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -282,3 +287,189 @@ class TestResidualMap:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+# --- the batch loop before Monte Carlo batches moved onto the workers ---------
+# Kept verbatim (module names qualified) as the reference the worker pipeline
+# must match: draws ahead on threads, every product and sum on the calling thread.
+
+
+def legacy_normals(seeds, sizes, width: int):
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(len(sizes), sim._available_cpus(), sim.DRAW_WORKERS)
+    ring = [np.empty((sizes[0], width)) for _ in range(workers + 1)]
+
+    def draw(b):
+        out = ring[b % len(ring)][: sizes[b]]
+        np.random.Generator(np.random.Philox(seeds[b])).standard_normal(out=out)
+        return out
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead = deque(pool.submit(draw, b) for b in range(workers))
+        for b in range(len(sizes)):
+            z = ahead.popleft().result()
+            if b + workers < len(sizes):
+                ahead.append(pool.submit(draw, b + workers))
+            yield z
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def legacy_monte_carlo(configs):
+    first = configs[0]
+    model, risk, n = first.model, first.risk, first.n_paths
+    model._require_scalar()
+    L = sim._joint_factor(model)
+    maps = [sim._residual_map(model, L, sim._resolve_filter(c)) for c in configs]
+    Q = risk.q_vector()
+    exponential = first.criterion == "exponential"
+    log_space = exponential and risk.mu > 0
+
+    sizes = list(sim._batches(n, first.batch_size))
+    batch_seeds = np.random.SeedSequence(first.seed).spawn(len(sizes))
+    parts = [[] for _ in maps]
+    diff_parts = []
+    n_overflow = [0] * len(maps)
+    with contextlib.closing(legacy_normals(batch_seeds, sizes, L.shape[0])) as batches, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for z in batches:
+            scaled = []
+            for i, (r, R) in enumerate(maps):
+                e = z @ R.T
+                e += r
+                np.square(e, out=e)
+                u = e @ Q
+                shift = 0.0
+                if exponential:
+                    expo = 0.5 * risk.mu * u
+                    if log_space:
+                        n_overflow[i] += int(np.count_nonzero(expo > sim.EXP_CAP))
+                        shift = float(np.max(expo))
+                    u = risk.mu * np.exp(expo - shift)
+                parts[i].append((shift, math.fsum(u), math.fsum(u * u)))
+                scaled.append((u, shift))
+            if len(maps) == 2:
+                (ua, sa), (ub, sb) = scaled
+                top = max(sa, sb)
+                d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
+                diff_parts.append((top, math.fsum(d), math.fsum(d * d)))
+
+    if max(n_overflow) > sim.OVERFLOW_FRACTION * n:
+        raise OverflowDominated(
+            f"{max(n_overflow)} of {n} path exponents exceeded the exponent cap {sim.EXP_CAP:.0f}"
+        )
+    estimates = []
+    for config, filt_parts, capped in zip(configs, parts, n_overflow):
+        mean, stderr = sim._finish(filt_parts, n, "risk estimate")
+        if log_space:
+            batch_sums = tuple(shift + math.log(s1 / risk.mu) for shift, s1, _ in filt_parts)
+        else:
+            batch_sums = tuple(s1 for _, s1, _ in filt_parts)
+        estimates.append(rf.RiskEstimate(mean=mean, stderr=stderr, n_paths=n, criterion=config.criterion,
+                                         n_overflow=capped, batch_sums=batch_sums))
+    diff = sim._finish(diff_parts, n, "paired difference") if diff_parts else None
+    return estimates, diff
+
+
+def assert_matches_legacy(configs):
+    (new, new_diff), (old, old_diff) = sim._monte_carlo(configs), legacy_monte_carlo(configs)
+    if len(old[0].batch_sums) == 1:
+        assert (new, new_diff) == (old, old_diff)
+        return
+    scale = max(max(abs(a.mean), abs(b.mean)) for a, b in zip(new, old))
+    for a, b in zip(new, old):
+        assert (a.n_paths, a.criterion, a.n_overflow) == (b.n_paths, b.criterion, b.n_overflow)
+        assert abs(a.mean - b.mean) <= 1e-12 * scale
+        assert abs(a.stderr - b.stderr) <= 1e-12 * scale
+        assert len(a.batch_sums) == len(b.batch_sums)
+        for x, y in zip(a.batch_sums, b.batch_sums):
+            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+    assert (new_diff is None) == (old_diff is None)
+    if old_diff is not None:
+        assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(new_diff, old_diff))
+
+
+class TestMatchesLegacyLoop:
+    # T = 25 makes tiles of 2**18 // (25 * 50) = 209 paths: 1024-path batches end in a part tile.
+    @pytest.mark.parametrize("mu", [-1.0, 0.2])
+    @pytest.mark.parametrize("n_paths, batch_size", [
+        (4096, 1024),  # full batches, rows not a multiple of the tile
+        (5000, 1024),  # ragged last batch
+        (150, 64),  # every batch below one tile
+        (3000, 1 << 15),  # one batch: bitwise
+    ])
+    def test_estimate_and_comparison(self, mu, n_paths, batch_size):
+        leg = ar1_config(T=25, mu=mu, n_paths=n_paths, seed=41, batch_size=batch_size)
+        rn = ar1_config(T=25, mu=mu, n_paths=n_paths, seed=41, batch_size=batch_size, kind="risk_neutral")
+        assert_matches_legacy([leg])
+        assert_matches_legacy([leg, rn])
+
+    @pytest.mark.parametrize("n_paths", [5000, 1000])
+    def test_mean_square(self, n_paths):
+        leg = ar1_config(T=25, n_paths=n_paths, seed=43, batch_size=1024, criterion="mean_square")
+        rn = ar1_config(T=25, n_paths=n_paths, seed=43, batch_size=1024, criterion="mean_square",
+                        kind="risk_neutral")
+        assert_matches_legacy([leg, rn])
+
+    @pytest.mark.parametrize("workers", [2, 6])
+    def test_nine_batches(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "DRAW_WORKERS", workers)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: workers)
+        leg = ar1_config(T=25, mu=0.2, n_paths=9 * 512 - 100, seed=47, batch_size=512)
+        rn = ar1_config(T=25, mu=0.2, n_paths=9 * 512 - 100, seed=47, batch_size=512, kind="risk_neutral")
+        assert len(rf.estimate_risk(leg).batch_sums) == 9
+        assert_matches_legacy([leg, rn])
+
+    @pytest.mark.parametrize("mu, batch_size", [(-1.0, 4096), (0.2, 4096), (-1.0, 1 << 15)])
+    def test_correlated_model_and_custom_filter(self, mu, batch_size):
+        model = _correlated_model()
+        T = model.horizon
+        risk = rf.RiskSpec(mu=mu, Q=np.ones(T))
+        rng = np.random.default_rng(3)
+        filt = rf.AffineFilter(intercept=rng.normal(size=T), gains=np.tril(rng.normal(size=(T, T))) / T)
+        leg = rf.ExperimentConfig(model=model, risk=risk, n_paths=20000, seed=7, batch_size=batch_size)
+        custom = rf.ExperimentConfig(model=model, risk=risk, filter_kind="custom", custom=filt,
+                                     n_paths=20000, seed=7, batch_size=batch_size)
+        assert_matches_legacy([custom])
+        assert_matches_legacy([leg, custom])
+
+    def test_overflow_dominated_abort(self):
+        model = rf.build_general([0.0], [[1.0]], [0.0])
+        config = rf.ExperimentConfig(model=model, risk=rf.RiskSpec(mu=2000.0, Q=np.ones(1)), filter_kind="custom",
+                                     custom=rf.AffineFilter(intercept=np.zeros(1), gains=np.zeros((1, 1))),
+                                     n_paths=10**4, seed=8, batch_size=1024)
+        with pytest.raises(OverflowDominated) as old:
+            legacy_monte_carlo([config])
+        with pytest.raises(OverflowDominated) as new:
+            rf.estimate_risk(config)
+        assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("compare", [False, True])
+def test_failure_in_a_job_cancels_the_rest(monkeypatch, compare):
+    monkeypatch.setattr(sim, "DRAW_WORKERS", 2)
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+    boom = RuntimeError("batch 3 failed")
+    started = []
+    batch = sim._batch
+
+    def failing(seed, *args):
+        (b,) = seed.spawn_key
+        started.append(b)
+        if b == 3:
+            raise boom
+        if b > 3:  # hold the workers so the queued batches are still queued when the caller shuts down
+            time.sleep(0.2)
+        return batch(seed, *args)
+
+    monkeypatch.setattr(sim, "_batch", failing)
+    leg = ar1_config(T=25, n_paths=8 * 256, seed=53, batch_size=256)
+    rn = ar1_config(T=25, n_paths=8 * 256, seed=53, batch_size=256, kind="risk_neutral")
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        rf.compare_filters(leg, rn) if compare else rf.estimate_risk(leg)
+    assert caught.value is boom
+    assert threading.active_count() == threads
+    assert 3 in started and not {6, 7} & set(started)
