@@ -122,8 +122,9 @@ def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution 
     On a scalar model without cross-covariance, with G = tril(gbar), the filter
     solves (I + G diag(A^2)) h = m + G diag(A) Y, and [c | F] comes from one
     forward substitution with right-hand side [m | G diag(A)]. Any other model
-    runs ``_block_solve`` on the columns [m | I_{Tm}]; rows and columns of the
-    map are then in (t, component) order, as in ``flat_mean()``.
+    runs ``_block_solve`` on the 1 + Tm columns [m | I_{Tm}], its gains formed
+    once before its step loop; rows and columns of the map are then in
+    (t, component) order, as in ``flat_mean()``.
     """
     if not model.is_scalar or model.cross_cov is not None:
         sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
@@ -273,45 +274,56 @@ def _filter_run(h, A, g, S, mu, Y) -> FilterRun:
 
 
 def _block_solve(model: GaussianModel, solution: VolterraSolution, M, Y) -> np.ndarray:
-    """Forward substitution of the vector filter for k right-hand-side columns.
+    """Left-looking forward substitution of the vector filter for k right-hand-side columns.
 
-    h_t = M_t + sum_{l<=t} [C(t,l) + g(t,l) A_l'] [I + A_l C(l,l)]^{-1}
-    (Y_l - A_l h_l) for mean columns M (k, T, n), or (T, n) shared by all, and
-    observation columns Y (k, T, m); returns h (k, T, n). The l = t term is
-    solved implicitly, per column, so for m = 1 no column's result depends on
-    the others. The gains of step l to every target t >= l come from one solve.
+    h_t = P_t (M_t + G(t,t) Y_t + sum_{l<t} G(t,l) eps_l) with eps_l = Y_l - A_l h_l, the gains
+    G(t,l) = [C(t,l) + g(t,l) A_l'] D_l^{-1}, D_l = I + A_l C(l,l), and P_t = (I + G(t,t) A_t)^{-1},
+    for mean columns M (k, T, n), or (T, n) shared by all, and observation columns Y (k, T, m);
+    returns h (k, T, n). Every gain is formed before the loop, premultiplied by [P_t; -A_t P_t],
+    so that step t is one reduction of the stored Y_t and eps_l, l < t, giving h_t and eps_t. The
+    reduction is an elementwise product summed along a contiguous axis: no column's result depends
+    on the others, which a matrix product does not promise (GEMV and GEMM round differently).
     """
     T, n, m = model.horizon, model.n, model.m
-    gam = solution.gamma_bar
-    A = model.gains
-    C = model.cross_cov if model.cross_cov is not None else np.zeros((T, T, n, m))
-    D = np.eye(m) + A @ C.diagonal().transpose(2, 0, 1)  # D_l = I + A_l C(l,l), the gain denominators
+    A, C = model.gains, model.cross_cov
+    idx = np.arange(T)
+    D = np.eye(m) + (A @ C[idx, idx] if C is not None else np.zeros((T, m, m)))  # D_l = I + A_l C(l,l)
     singular = np.flatnonzero(np.linalg.cond(D) > COND_LIMIT)
     if singular.size:
         step = int(singular[0]) + 1
         raise SingularInnovationMatrix(f"observation gain denominator at step {step} is singular", step=step)
 
-    eye_n = np.eye(n)
-    h = np.zeros((len(Y), T, n))
-    # columns (t, component): m_t plus the innovation terms of the steps l < t done so far
-    acc = np.array(np.broadcast_to(M, h.shape)).reshape(len(Y), T * n)
-    for l in range(T):
-        # Gains [C(t,l) + g(t,l) A_l'] D_l^{-1} of every target t >= l, from one
-        # solve, transposed to (m, (T - l) * n).
-        N = C[l:, l] + gam[l:, l] @ A[l].T
-        G = np.linalg.solve(D[l].T, N.reshape(-1, m).T)
-        rhs = acc[:, l * n : (l + 1) * n] + Y[:, l] @ G[:, :n]
-        h[:, l] = np.linalg.solve(eye_n + G[:, :n].T @ A[l], rhs[:, :, None])[:, :, 0]
-        acc[:, (l + 1) * n :] += (Y[:, l] - (A[l] @ h[:, l, :, None])[:, :, 0]) @ G[:, n:]
-    return h
+    Dinv = np.linalg.inv(D)
+    G = _by_column(solution.gamma_bar, A.transpose(0, 2, 1) @ Dinv)  # G[t, :, l, :] = G(t,l)
+    if C is not None:
+        G += _by_column(C, Dinv)
+    P = np.linalg.inv(np.eye(n) + G[idx, :, idx] @ A)
+    Z = np.concatenate([P, -A @ P], axis=1)  # h_t and eps_t - Y_t are Z_t (M_t + G(t,t) Y_t + ...)
+    W = Z @ G.reshape(T, n, T * m)
+    ZM = np.add.reduce(Z * np.expand_dims(M, -2), axis=-1)
+    E = np.array(Y, dtype=float, order="C").reshape(len(Y), T * m)  # Y_l, and eps_l from step l on
+    YM = E + ZM[..., n:].reshape(-1, T * m)  # Y_t - A_t P_t M_t
+    R = np.empty((len(Y), T, n + m))
+    for t in range(T):
+        b = (t + 1) * m
+        np.add.reduce(W[t, :, :b] * E[:, None, :b], axis=-1, out=R[:, t])
+        np.add(YM[:, b - m : b], R[:, t, n:], out=E[:, b - m : b])
+    return ZM[..., :n] + R[..., :n]
+
+
+def _by_column(X, B):
+    """(T, p, T, r) array of the blocks X(t,l) B_l, for a (T, T, p, q) table X and (T, q, r) blocks B."""
+    Xt = X.transpose(0, 2, 1, 3)
+    return sum(Xt[..., k, None] * B[:, k] for k in range(B.shape[1]))
 
 
 def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSolution | None = None) -> FilterRun:
     """Optimal filter for vector-valued models, correlated noise allowed.
 
     ``Y`` is one path of shape (T, m), or (T,) for m = 1, or a batch of
-    them on leading axes; each path is one column of ``_block_solve``.
-    ``h_bar`` has shape (..., T, n), or (..., T) for n = 1.
+    them on leading axes; each path is one column of ``_block_solve``, with
+    the same bits in a batch as alone. ``h_bar`` has shape (..., T, n), or
+    (..., T) for n = 1.
     """
     sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
     T, n, m = model.horizon, model.n, model.m

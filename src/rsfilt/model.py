@@ -216,7 +216,9 @@ def _validate_model(mean, cov, gains, cross_cov):
             worst_eigenvalue=float(diag_vars.min()),
         )
     model = GaussianModel(mean=mean, cov=cov, gains=gains, cross_cov=cross_cov)
-    check_psd(model.flat_cov(), "signal covariance table")
+    certified = _schur_certificate(model)
+    if not certified:
+        check_psd(model.flat_cov(), "signal covariance table")
     if cross_cov is not None:
         if cross_cov.shape != (T, T, n, m):
             raise DimensionMismatch(
@@ -230,9 +232,43 @@ def _validate_model(mean, cov, gains, cross_cov):
                 f"{s + 1} may not correlate with the signal at earlier step {t + 1}",
                 param="K_Xeps",
             )
-        # The (signal, noise) joint must itself be a covariance.
-        check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
+        if not certified:  # the (signal, noise) joint must itself be a covariance
+            check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
     return model
+
+
+def _schur_certificate(model: GaussianModel) -> bool:
+    """Whether one Cholesky factorization passes both covariance checks of a correlated model.
+
+    K is the symmetrized flat signal table, C the flat cross-covariance and s = 0.5 PSD_TOL
+    max(tr K, 1). Cholesky of K - CC' + sI succeeds only if K - CC' has no eigenvalue below -s
+    minus its backward error, at most (N + 1) u tr(K - CC' + sI), far below the other half of the
+    tolerance, as in ``check_psd``. Then K, which is at least K - CC', passes the signal-table
+    check; and the joint [[K, C], [C', I]] passes the joint check, its tolerance scale tr K + Tm
+    being the larger: shifted by s, its Schur complement K + sI - CC'/(1 + s) is at least
+    K - CC' + sI, so the shifted joint is PSD (Haynsworth inertia; Boyd & Vandenberghe, Convex
+    Optimization, A.5.5). Neither needs C lower-triangular, which is checked on its own between
+    the two. False when ``cross_cov`` is absent or misshapen, when K or C is not finite, or when
+    the factorization fails; the two checks then decide.
+    """
+    T, n, m = model.horizon, model.n, model.m
+    C = model.cross_cov
+    if C is None or C.shape != (T, T, n, m) or not (np.isfinite(C).all() and np.isfinite(model.cov).all()):
+        return False
+    K, Cf = model.flat_cov(), model.flat_cross()
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
+        S = K + K.T
+        S *= 0.5
+        shift = 0.5 * PSD_TOL * max(float(np.trace(S)), 1.0)
+        S -= Cf @ Cf.T
+        S[np.diag_indices_from(S)] += shift
+    if not np.isfinite(S).all():
+        return False
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _joint_signal_noise_cov(model: GaussianModel) -> np.ndarray:

@@ -185,7 +185,8 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     D = E + E.transpose(0, 2, 1) + np.eye(m + n) * np.concatenate([np.ones((T, m)), lam], axis=1)[:, None, :]
 
     gam = model.flat_cov().copy()  # column s becomes gbar's at step s; the blocks above are zeroed at the end
-    U, W = np.zeros((2, T * n, int(r.sum())))  # U_l and U_l V_l^{-1}, l < s
+    U = np.zeros((T * n, int(r.sum())))  # U_l, l < s
+    W = np.zeros_like(U)  # U_l V_l^{-1}
     violation, clause, first, gs, Vs, off = None, None, 0, [], [], 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked panel by panel
         for s in range(T):
@@ -199,10 +200,9 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
             except np.linalg.LinAlgError:  # exactly singular: zeroed (nan if not finite), it fails now
                 Vs[-1], Vinv = 0.0 * Vs[-1], None
             else:
-                Us = U[b:, off : off + rs]
-                np.matmul(col[n:], Hs.T, out=Us)
-                Us[:, :m] += C[b:, s * m : (s + 1) * m]
-                np.matmul(Us, Vinv, out=W[b:, off : off + rs])
+                np.matmul(col[n:], Hs.T, out=U[b:, off : off + rs])
+                U[b:, off : off + m] += C[b:, s * m : (s + 1) * m]
+                np.matmul(U[b:, off : off + rs], Vinv, out=W[b:, off : off + rs])
             off += rs
             if Vinv is None or len(gs) == PANEL or s == T - 1:
                 violation, clause = _check_panel(first, np.array(gs), Vs, r[first : s + 1], negative[first : s + 1])
@@ -211,8 +211,9 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
                     break
                 first, gs, Vs = s + 1, [], []
 
+    del U, W, C  # released before the transposed copy of the table
     gam = np.ascontiguousarray(gam.reshape(T, n, T, n).transpose(0, 2, 1, 3))
-    gam[np.triu_indices(T, 1)] = 0.0
+    gam[~np.tri(T, dtype=bool)] = 0.0
     return VolterraSolution(gamma_bar=gam, S=S, mu=risk.mu, feasible=violation is None,
                             first_violation=violation, violated_clause=clause)
 

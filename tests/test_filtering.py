@@ -421,6 +421,66 @@ def test_filter_correlated_batch_equals_one_path_calls(builder, rng):
     assert np.array_equal(rf.filter_correlated(model, risk, Y[:, :, 0]).h_bar, one)
 
 
+def right_looking_block_solve(model, solution, M, Y):
+    """The right-looking loop ``_block_solve`` replaced, kept as its reference.
+
+    Step l solves for the gains of every target t >= l at once, solves its own
+    step implicitly per column, and adds its innovation to every later
+    right-hand side.
+    """
+    T, n, m = model.horizon, model.n, model.m
+    gam, A = solution.gamma_bar, model.gains
+    C = model.cross_cov if model.cross_cov is not None else np.zeros((T, T, n, m))
+    D = np.eye(m) + A @ C.diagonal().transpose(2, 0, 1)
+    singular = np.flatnonzero(np.linalg.cond(D) > rf.volterra.COND_LIMIT)
+    if singular.size:
+        step = int(singular[0]) + 1
+        raise SingularInnovationMatrix(f"observation gain denominator at step {step} is singular", step=step)
+    h = np.zeros((len(Y), T, n))
+    acc = np.array(np.broadcast_to(M, h.shape)).reshape(len(Y), T * n)
+    for l in range(T):
+        N = C[l:, l] + gam[l:, l] @ A[l].T
+        G = np.linalg.solve(D[l].T, N.reshape(-1, m).T)
+        rhs = acc[:, l * n : (l + 1) * n] + Y[:, l] @ G[:, :n]
+        h[:, l] = np.linalg.solve(np.eye(n) + G[:, :n].T @ A[l], rhs[:, :, None])[:, :, 0]
+        acc[:, (l + 1) * n :] += (Y[:, l] - (A[l] @ h[:, l, :, None])[:, :, 0]) @ G[:, n:]
+    return h
+
+
+@pytest.mark.parametrize("builder", ["vector", "ar1_noise", "ma1_observations"])
+@pytest.mark.parametrize("mu", [0.0, -0.5, 0.05])
+def test_block_solve_matches_right_looking_reference(builder, mu, rng):
+    T, P = 40, 64
+    model = correlated_model(builder, T, rng)
+    n = model.n
+    risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.5, 1.5, T))
+    sol = rf.solve_volterra_correlated(model, risk)
+    assert sol.feasible
+    Y = rng.normal(size=(P, T, 1)) * 1.5
+    M = np.zeros((1 + T, T, n))
+    M[0] = model.mean
+    affine = rf.leg_affine(model, risk, solution=sol)
+    pairs = [
+        (rf.filter_correlated(model, risk, Y, solution=sol).h_bar.reshape(P, T, n),
+         right_looking_block_solve(model, sol, model.mean, Y)),
+        (rf.filter_correlated(model, risk, Y[0], solution=sol).h_bar.reshape(T, n),
+         right_looking_block_solve(model, sol, model.mean, Y[:1])[0]),
+        (np.column_stack([affine.intercept, affine.gains]),
+         right_looking_block_solve(model, sol, M, np.eye(1 + T, T, k=-1).reshape(-1, T, 1)).reshape(-1, T * n).T),
+    ]
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_block_solve_singular_denominator_step_matches_reference():
+    model = rf.build_vector_model(np.zeros(3), np.diag([1.0, 2.0, 1.0]), np.ones(3), np.diag([0.0, -1.0, 0.0]))
+    sol = rf.solve_volterra_correlated(model, rf.RiskSpec(mu=0.0, Q=np.zeros(3)))
+    for solve in (right_looking_block_solve, rf.filtering._block_solve):
+        with pytest.raises(SingularInnovationMatrix, match="observation gain denominator at step 2 is singular") as info:
+            solve(model, sol, model.mean, np.ones((4, 3, 1)))
+        assert info.value.step == 2
+
+
 class TestRiskNeutralFilter:
     def test_deterministic_signal(self):
         T = 3

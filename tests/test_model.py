@@ -272,6 +272,101 @@ class TestCheckPsd:
             rf.model.check_psd(mat, "table")
 
 
+def _build_correlated(K, C):
+    """A vector model from flat (Tn, Tn) signal and (Tn, Tm) cross tables, n = 2, m = 1."""
+    T = len(K) // 2
+    return rf.build_vector_model(np.zeros((T, 2)), K.reshape(T, 2, T, 2).transpose(0, 2, 1, 3), np.ones((T, 1, 2)),
+                                 C.reshape(T, 2, T, 1).transpose(0, 2, 1, 3))
+
+
+def _cross_table(rng, T):
+    """A random (2T, T) cross table with noise at step s correlated with the signal at steps t >= s only."""
+    causal = np.arange(2 * T)[:, None] // 2 >= np.arange(T)[None, :]
+    return rng.normal(size=(2 * T, T)) * 0.4 * causal
+
+
+def _with_schur_floor(rng, factor, T=6, off_noise=False):
+    """(K, C) with K - CC' = P, whose smallest eigenvalue is factor * PSD_TOL * tr K.
+
+    ``off_noise`` puts that eigenvector orthogonal to the columns of C, where K has the same eigenvalue.
+    """
+    C = _cross_table(rng, T)
+    first = np.linalg.svd(C)[0][:, -1:] if off_noise else rng.normal(size=(2 * T, 1))
+    vecs = np.linalg.qr(np.hstack([first, rng.normal(size=(2 * T, 2 * T - 1))]))[0]
+    lam = rng.uniform(0.5, 2.0, 2 * T)
+    lam[0] = factor * rf.model.PSD_TOL * (lam[1:].sum() + np.sum(C**2)) / (1.0 - factor * rf.model.PSD_TOL)
+    K = (vecs * lam) @ vecs.T + C @ C.T
+    return (K + K.T) / 2.0, C
+
+
+def _outcome(K, C):
+    try:
+        _build_correlated(K, C)
+    except (NotPositiveSemidefinite, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "worst_eigenvalue", None)
+    return "ok", None, None
+
+
+class TestSchurCertificate:
+    """One Cholesky of K - CC' keeps the verdicts and messages of the signal-table and joint checks."""
+
+    @staticmethod
+    def same_verdict(monkeypatch, K, C):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(K, C)
+            with monkeypatch.context() as patch:
+                patch.setattr(rf.model, "_schur_certificate", lambda model: False)
+                want = _outcome(K, C)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_psd_joint_is_certified(self, monkeypatch, seed):
+        K, C = _with_schur_floor(np.random.default_rng(seed), 0.5)
+        assert self.same_verdict(monkeypatch, K, C)[0] == "ok"
+        assert rf.model._schur_certificate(_build_correlated(K, C))
+
+    def test_failure_in_the_signal_table(self, monkeypatch, rng):
+        K, C = _with_schur_floor(rng, 0.5)
+        lam, vecs = np.linalg.eigh(K)
+        K -= (lam[0] + 0.1) * np.outer(vecs[:, 0], vecs[:, 0])  # smallest eigenvalue -0.1, diagonal still positive
+        got = self.same_verdict(monkeypatch, K, C)
+        assert got[1].startswith("signal covariance table is not positive semidefinite")
+
+    def test_failure_only_in_the_schur_complement(self, monkeypatch, rng):
+        T = 6
+        G = rng.normal(size=(2 * T, 2 * T))
+        K = G @ G.T / (2 * T) + np.eye(2 * T)
+        C0 = _cross_table(rng, T)
+        rho = np.linalg.norm(np.linalg.solve(np.linalg.cholesky(K), C0), 2) ** 2  # K - a^2 C0 C0' is PSD iff a^2 rho <= 1
+        for a2, verdict in ((0.9, "ok"), (1.5, "joint signal/noise covariance is not positive semidefinite")):
+            got = self.same_verdict(monkeypatch, K, np.sqrt(a2 / rho) * C0)
+            assert (got[1] or "ok").startswith(verdict)
+
+    @pytest.mark.parametrize("factor", [-0.3, -0.49, -0.51, -0.99, -1.01, -2.0, -1e3])
+    def test_within_tolerance_of_the_floor(self, monkeypatch, rng, factor):
+        K, C = _with_schur_floor(rng, factor)
+        self.same_verdict(monkeypatch, K, C)
+        if factor > -0.5:
+            assert rf.model._schur_certificate(_build_correlated(K, C))
+        # Off the noise, K itself sits at the floor: the signal-table check decides at -1.
+        got = self.same_verdict(monkeypatch, *_with_schur_floor(rng, factor, off_noise=True))
+        assert (got[1] or "ok").startswith("ok" if factor > -1 else "signal covariance table is not positive")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["K", "C"])
+    def test_non_finite_entries(self, monkeypatch, rng, bad, where):
+        K, C = _with_schur_floor(rng, 0.5)
+        if where == "K":
+            K[5, 0] = K[0, 5] = bad
+        else:
+            C[5, 1] = bad
+        got = self.same_verdict(monkeypatch, K, C)
+        table = "signal covariance table" if where == "K" else "joint signal/noise covariance"
+        assert got[1] == f"{table} has entries that are not finite in double precision"
+
+
 class TestSampling:
     def test_zero_paths(self):
         model = rf.build_ma1(0.3, 1.0, 3)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,26 @@ class TestLeftLookingKernel:
                     if name == "vector" and op % 3 == 0 and mu > 0:
                         assert got == dense_verdict(model, risk)[0], (op, mu)
         assert not recorded
+
+    @pytest.mark.parametrize("builder", ["vector", "ar1_noise"])
+    def test_traced_peak_below_three_tables(self, builder):
+        # The kernel's own arrays (U, W and the flat cross-covariance, each half a table here)
+        # are released before the transposed copy of the table, so that copy adds no third table.
+        T = 200
+        if builder == "vector":
+            K = np.eye(T)[:, :, None, None] * np.eye(2) + 0.3
+            model = rf.build_vector_model(np.zeros((T, 2)), K, np.ones((T, 1, 2)))
+        else:
+            model = rf.build_ar1_noise(0.8, 0.6, 1.0, -0.3, T)
+        risk = rf.RiskSpec(mu=0.0, Q=np.ones(T))
+        rf.solve_volterra_correlated(model, risk)  # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            sol = rf.solve_volterra_correlated(model, risk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sol.gamma_bar.nbytes
 
 
 class TestAr1Riccati:
