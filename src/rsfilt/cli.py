@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -39,8 +40,14 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}", field="config") from exc
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}", field="config") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}", field="config") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc.reason} at byte {exc.start}", field="config") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to parse", field="config") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", field="config")
     return cfg
@@ -81,14 +88,57 @@ def _observations(cfg: dict, model, seed):
     return Yb[0, :, 0], seed
 
 
+def _json_text(o, pad=""):
+    """``json.dumps(o, indent=2, sort_keys=True, default=np.ndarray.tolist)``,
+    byte for byte, with the lines after the first indented by ``pad``.
+
+    An ndarray is rendered as its ``tolist()``, a list or tuple of floats as
+    one join over ``float.__repr__``, and a dict with string keys item by item;
+    everything else goes through ``json.dumps``, which renders a number, a
+    string or None the same with or without indent.
+    """
+    if type(o) is np.ndarray:
+        o = o.tolist()
+    if o is None or isinstance(o, (str, int, float)):
+        return json.dumps(o)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(o) in (list, tuple) and o:
+        if all(type(x) is float for x in o):
+            body = sep.join(map(float.__repr__, o))
+            if "n" in body:  # a nan or an inf, which json spells NaN, Infinity: no finite repr has an n
+                body = sep.join(map(json.dumps, o))
+        else:
+            body = sep.join(_json_text(x, inner) for x in o)
+        return f"[\n{inner}{body}\n{pad}]"
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        body = sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(o.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    text = json.dumps(o, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    return text.replace("\n", "\n" + pad) if pad else text
+
+
+def _write(path, text, field):
+    """Write ``text`` to ``path``; a path that cannot be written is a config error at ``field``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}", field=field) from exc
+
+
 def _emit(args, doc, steps=None):
     """Write ``doc`` as JSON, or as CSV, to --out (default stdout).
 
-    CSV has one row per step (t, then the columns of ``steps``, an absent
-    column as empty cells) when ``steps`` is given, else key,value rows of ``doc``.
+    JSON is indent-2 with sorted keys: the bytes of ``json.dumps(doc,
+    indent=2, sort_keys=True, default=np.ndarray.tolist)``, written by
+    ``_json_text`` without the stdlib's per-element indent encoder. CSV has
+    one row per step (t, then the columns of ``steps``, an absent column as
+    empty cells) when ``steps`` is given, else key,value rows of ``doc``.
+    An --out that cannot be written is a config error at --out.
     """
     if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -103,8 +153,7 @@ def _emit(args, doc, steps=None):
             writer.writerows(zip(range(1, T + 1), *columns))
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text, "--out")
     else:
         sys.stdout.write(text)
 
@@ -200,11 +249,11 @@ def _cmd_simulate(args) -> int:
     doc["seed"] = config.seed
     _emit(args, doc)
     if args.batch_csv:
-        with open(args.batch_csv, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("batch", "partial_sum"))
-            for i, s in enumerate(estimate.batch_sums):
-                writer.writerow((i, s))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(("batch", "partial_sum"))
+        writer.writerows(enumerate(estimate.batch_sums))
+        _write(args.batch_csv, buf.getvalue(), "--batch-csv")
     return 0
 
 
@@ -254,6 +303,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rsfilt`` argument parser, every verb a subparser.
+
+    ``run`` builds it once per process, on its first call, and reuses it:
+    parsing leaves the parser unchanged, each call gets a fresh namespace,
+    and parse errors leave through ``_Parser.error``.
+    """
     parser = _Parser(
         prog="rsfilt",
         description="Risk-sensitive filtering for general Gaussian signal models.",
@@ -290,10 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit:  # --help
         return 0

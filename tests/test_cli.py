@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from rsfilt import cli
 from rsfilt.cli import FILTER_CSV_COLUMNS, run
 
 
@@ -463,3 +465,125 @@ def test_correlated_scalar_model_verbs(tmp_path, capsys):
     for verb in ("simulate", "compare"):
         assert run([verb, "--config", str(p)]) == 0, verb
         assert "NaN" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["validate", "--out", "{tmp}"], "--out"),
+    (["simulate", "--out", "{tmp}"], "--out"),
+    (["validate", "--out", "{tmp}/missing/out.json"], "--out"),
+    (["simulate", "--out", "{tmp}/missing/out.json"], "--out"),
+    (["simulate", "--batch-csv", "{tmp}/missing/batches.csv"], "--batch-csv"),
+    (["simulate", "--batch-csv", "{tmp}"], "--batch-csv"),
+])
+def test_unwritable_output_names_its_flag(argv, field, config_path, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run([*argv, "--config", config_path, "--paths", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {field}: cannot write ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["directory", "not_utf8", "too_deep"])
+def test_unreadable_config_names_config(content, tmp_path, capsys):
+    """A directory, a file that is not UTF-8, or JSON nested past the parser's
+    recursion limit is a config error at config."""
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for verb in CONFIG_VERBS:
+        assert run([verb, "--config", str(path)]) == 1, verb
+        err = capsys.readouterr().err
+        assert err.startswith("config error at config: ") and err.count("\n") == 1, (verb, err)
+
+
+def _stdlib_json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+_json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_json_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+               elements=st.one_of(_json_floats, st.sampled_from([-0.0, 5e-324, -2.2e-308]))),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+)
+_json_leaves = st.one_of(
+    _json_floats, st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310]),
+    _json_floats.map(np.float64), st.integers(), st.booleans(), st.none(), st.text(), _json_arrays,
+)
+_json_docs = st.recursive(_json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(_json_floats, max_size=6),
+    st.lists(children, max_size=5).map(tuple),
+    st.dictionaries(st.text(max_size=6), children, max_size=5),
+    st.dictionaries(st.integers(), children, max_size=3),
+), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_json_docs)
+def test_json_writer_matches_stdlib(doc):
+    """The CLI's JSON writer gives the stdlib's indent-2, sorted-key bytes for any document."""
+    assert cli._json_text(doc) == _stdlib_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["ar1", "ma1", "general"])
+def test_every_verb_writes_the_stdlib_json(kind, tmp_path, monkeypatch):
+    """Each verb's --out file holds the stdlib rendering of the document it emitted."""
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, doc, steps=None: (emitted.append(doc), emit(args, doc, steps)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": FUZZ_MODELS[kind], **FUZZ_TOP}))
+    out = tmp_path / "out.json"
+    for argv in [[verb, "--config", str(config)] for verb in CONFIG_VERBS] + [["example-5-2", "--T", "2"]]:
+        assert run([*argv, "--out", str(out)]) == 0, argv
+        assert out.read_text() == _stdlib_json(emitted.pop()) + "\n", argv
+
+
+def test_shared_parser_leaks_no_state(tmp_path):
+    """A sequence of calls gives the same codes, stderr and bytes on one shared
+    parser as with a parser built afresh for every call."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": FUZZ_MODELS["ar1"], **FUZZ_TOP, "filter": {"kind": "leg"}}))
+    c = ["--config", str(config)]
+    calls = [
+        ["simulate", *c, "--mu", "-0.3", "--seed", "11", "--paths", "128"],
+        ["simulate", *c],
+        ["risk", *c, "--mu=x"],
+        ["risk", *c, "--mu", "-0.2"],
+        ["risk", *c],
+        ["--help"],
+        ["cm", "--help"],
+        ["filter", *c, "--format", "csv", "--seed", "4"],
+        ["filter", *c],
+        ["example-5-2", "--T", "2"],
+        ["example-5-2", "--T", "0"],
+        ["compare", *c, "--paths", "64", "--seed", "9", "--mu", "-0.2"],
+        ["compare", *c],
+        ["bogus"],
+        [],
+        ["validate", *c, "--format=xml"],
+        ["validate", *c, "--seed", "5", "--out", str(tmp_path / "validate.json")],
+        ["validate", *c],
+    ]
+
+    def session(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = run(argv)
+            results.append((rc, stdout.getvalue(), stderr.getvalue()))
+        results.append((tmp_path / "validate.json").read_text())
+        return results
+
+    shared = session(fresh=False)
+    assert shared == session(fresh=True)
+    assert [r[0] for r in shared[:-1]] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0]
+    parsed = [vars(cli._parser().parse_args(argv)) for argv in (["example-5-2", "--T", "3"], ["example-5-2"])]
+    assert parsed[1]["T"] == 10 and parsed[0]["T"] == 3
