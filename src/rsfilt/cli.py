@@ -247,6 +247,8 @@ def _cmd_simulate(args) -> int:
     estimate = sim.estimate_risk(config)
     doc = estimate.to_dict()
     doc["seed"] = config.seed
+    if args.batch_csv:  # emptied first, so a path that cannot be written stops the run before any output
+        _write(args.batch_csv, "", "--batch-csv")
     _emit(args, doc)
     if args.batch_csv:
         buf = io.StringIO()

@@ -40,9 +40,15 @@ def _as_sequence(x, T, name):
 
 
 def _symmetrize_from_lower(K):
-    """Mirror the lower triangle (including diagonal) onto the upper."""
-    L = np.tril(K)
-    return L + L.T - np.diag(np.diag(K))
+    """Mirror the lower triangle (including diagonal) onto the upper, in two tables: tril(K) and one
+    transposed strict-lower copy. Entries are those of tril(K) + tril(K).T - diag(diag(K)): a -0.0
+    reads +0.0, and a diagonal entry d is (d + d) - d, which is inf for |d| above DBL_MAX / 2."""
+    S = np.tril(K)
+    S += np.tril(K, -1).T
+    d = np.diagonal(K)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail validation
+        np.fill_diagonal(S, (d + d) - d)
+    return S
 
 
 def check_psd(mat, what):

@@ -5,11 +5,13 @@ factor of (X, eps) that map becomes one residual map from a path's standard
 normals z to its estimation error, so each batch costs one matrix product
 per filter. Each batch draws its normals from its own counter-based stream.
 A run of several batches hands each batch to one of a few worker threads,
-which draws it, applies every residual map over tiles of paths and returns
-only the batch's partial sums; the calling thread folds them in batch order,
-so no number depends on the threads. Partial sums are combined with
-``math.fsum`` so results are reproducible independent of the batching.
-Filter comparisons reuse the same paths (common random numbers).
+which draws it and applies every residual map over tiles of paths, a chunk
+of a few thousand paths at a time: a worker holds a chunk of z and of the
+errors plus n weights per filter per batch (a one-batch run holds whole-batch
+buffers), and returns only the batch's partial sums; the calling thread folds
+them in batch order, so no number depends on the threads. Partial sums are
+combined with ``math.fsum`` so results are reproducible independent of the
+batching. Filter comparisons reuse the same paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ DRAW_WORKERS = 3  # most threads running Monte Carlo batches at once
 # dgemm starts its own threads (about twice this), so on a run of several
 # batches only the batch workers compete for the cores.
 TILE_MADDS = 1 << 18
+CHUNK_TILES = 16  # tiles per chunk a batch worker holds at once; fewer mean more GIL-holding Python calls
 
 
 @dataclass(frozen=True)
@@ -150,30 +153,36 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _batch(seed, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk: RiskSpec, exponential: bool,
+def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk: RiskSpec, exponential: bool,
            tile: int):
-    """Draw one batch's normals into z and reduce them to partial sums; e is scratch with z's rows.
+    """Draw a batch of n paths into z one chunk of its rows at a time, and reduce them to partial sums.
 
     Returns per filter (shift, sum u, sum u^2) and its exponent-cap count, and
-    for two filters the paired difference's (shift, sum d, sum d^2). The
-    products run stacked over tiles of ``tile`` paths, the last rows that do
-    not fill a tile as one more product.
+    for two filters the paired difference's (shift, sum d, sum d^2). A chunk
+    continues the batch's one normal stream and its products run stacked over
+    tiles of ``tile`` paths, a part tile as one more product; z's rows are whole
+    tiles or the whole batch, so each number is a whole-batch buffer's. e is scratch.
     """
-    np.random.Generator(np.random.Philox(seed)).standard_normal(out=z)
-    n, width = z.shape
-    full = n - n % tile
+    draw = np.random.Generator(np.random.Philox(seed)).standard_normal
+    width = z.shape[1]
     log_space = exponential and risk.mu > 0
+    us = [np.empty(n) for _ in maps]
     parts, capped, scaled = [], [], []
     # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, R in maps:
-            np.matmul(z[:full].reshape(-1, tile, width), R.T, out=e[:full].reshape(-1, tile, len(r)))
-            np.matmul(z[full:], R.T, out=e[full:])
-            e += r
-            np.square(e, out=e)
-            u = np.empty(n)
-            np.matmul(e[:full].reshape(-1, tile, len(r)), Q, out=u[:full].reshape(-1, tile))
-            np.matmul(e[full:], Q, out=u[full:])
+        for start in range(0, n, len(z)):
+            zc, ec = z[: n - start], e[: n - start]  # the buffers, or the batch's last rows
+            draw(out=zc)
+            full = len(zc) - len(zc) % tile
+            for (r, R), u in zip(maps, us):
+                uc = u[start: start + len(zc)]
+                np.matmul(zc[:full].reshape(-1, tile, width), R.T, out=ec[:full].reshape(-1, tile, len(r)))
+                np.matmul(zc[full:], R.T, out=ec[full:])
+                ec += r
+                np.square(ec, out=ec)
+                np.matmul(ec[:full].reshape(-1, tile, len(r)), Q, out=uc[:full].reshape(-1, tile))
+                np.matmul(ec[full:], Q, out=uc[full:])
+        for u in us:
             shift, over = 0.0, 0
             if exponential:
                 expo = 0.5 * risk.mu * u
@@ -196,25 +205,26 @@ def _batch(seed, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk: RiskSp
 def _batch_results(seeds, sizes, width: int, maps, Q, risk, exponential: bool):
     """Each batch's ``_batch`` result, in batch order.
 
-    One batch runs on the calling thread as one whole-batch product. Several
-    run as jobs on min(batches, cpus, DRAW_WORKERS) threads with tile-sized
-    products; their (z, e) buffers are allocated here, one pair per thread,
-    and pass between jobs through a free list.
+    One batch runs on the calling thread as one whole-batch product in
+    whole-batch buffers. Several run as jobs on min(batches, cpus, DRAW_WORKERS)
+    threads with tile-sized products; their chunk-sized (z, e) buffers, one pair
+    per thread, are allocated here and pass between jobs through a free list.
     """
     T = len(Q)
     if len(sizes) == 1:
         n = sizes[0]
-        return [_batch(seeds[0], np.empty((n, width)), np.empty((n, T)), maps, Q, risk, exponential, n)]
+        return [_batch(seeds[0], n, np.empty((n, width)), np.empty((n, T)), maps, Q, risk, exponential, n)]
     from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
 
     workers = min(len(sizes), _available_cpus(), DRAW_WORKERS)
     tile = max(1, TILE_MADDS // (T * width))
-    free = [(np.empty((sizes[0], width)), np.empty((sizes[0], T))) for _ in range(workers)]
+    chunk = min(CHUNK_TILES * tile, sizes[0])
+    free = [(np.empty((chunk, width)), np.empty((chunk, T))) for _ in range(workers)]
 
     def job(b):
         z, e = free.pop()  # at most `workers` jobs hold a pair at once
         try:
-            return _batch(seeds[b], z[: sizes[b]], e[: sizes[b]], maps, Q, risk, exponential, tile)
+            return _batch(seeds[b], sizes[b], z, e, maps, Q, risk, exponential, tile)
         finally:
             free.append((z, e))
 

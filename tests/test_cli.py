@@ -482,6 +482,23 @@ def test_unwritable_output_names_its_flag(argv, field, config_path, tmp_path, ca
     assert err.startswith(f"config error at {field}: cannot write ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("bad_flag, with_out", [("--batch-csv", True), ("--batch-csv", False), ("--out", False)])
+def test_unwritable_output_leaves_no_other_output(bad_flag, with_out, config_path, tmp_path, capsys):
+    """simulate opens --batch-csv before it writes --out or stdout: one unwritable path exits 1 with
+    nothing on stdout and no document in the other file."""
+    paths = {"--out": tmp_path / "out.json", "--batch-csv": tmp_path / "batches.csv"}
+    paths[bad_flag] = tmp_path / "missing" / "file"
+    flags = ["--batch-csv"] + (["--out"] if with_out or bad_flag == "--out" else [])
+    argv = ["simulate", "--config", config_path, "--paths", "100"]
+    for flag in flags:
+        argv += [flag, str(paths[flag])]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error at {bad_flag}: cannot write "), err
+    for flag in flags:
+        assert not paths[flag].exists() or paths[flag].read_text() == "", flag
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
                          ids=["directory", "not_utf8", "too_deep"])
 def test_unreadable_config_names_config(content, tmp_path, capsys):

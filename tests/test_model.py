@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,36 @@ class TestBuildGeneral:
         K = L @ L.T
         model = rf.build_general(np.zeros(T), np.tril(K), np.ones(T))
         assert_allclose(model.cov2, K, atol=1e-14)
+
+    def test_mirror_keeps_the_bits_of_the_three_table_sum(self, rng):
+        # The sum it replaced: a -0.0 off the diagonal and on it reads +0.0, subnormals stay.
+        for T in (1, 2, 7, 40):
+            K = rng.normal(size=(T, T))
+            K[rng.random((T, T)) < 0.3] = -0.0
+            K.flat[rng.integers(T * T, size=3)] = [5e-324, -5e-324, 8e307]
+            L = np.tril(K)
+            assert rf.model._symmetrize_from_lower(K).tobytes() == (L + L.T - np.diag(np.diag(K))).tobytes()
+
+    def test_mirror_holds_at_most_three_tables(self, rng):
+        K = rng.normal(size=(800, 800))
+        tracemalloc.start()
+        try:
+            rf.model._symmetrize_from_lower(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * K.nbytes  # tril(K), its strict-lower copy and a boolean mask: 2.1 tables
+
+    @pytest.mark.parametrize("d, message", [
+        (1.7e308, "signal covariance table has entries that are not finite in double precision"),
+        (-1.7e308, "a diagonal block of cov has a negative variance (-inf)"),
+        (np.inf, "signal covariance table has entries that are not finite in double precision"),
+    ])
+    def test_diagonal_that_doubles_past_dbl_max(self, d, message):
+        # The mirror forms the diagonal as (d + d) - d, so validation sees +-inf or nan, without a warning.
+        with pytest.raises(NotPositiveSemidefinite) as exc:
+            rf.build_general([0.0, 0.0], [[d, 0.0], [0.5, 1.0]], [1.0, 1.0])
+        assert str(exc.value) == message
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

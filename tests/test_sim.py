@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -445,6 +446,46 @@ class TestMatchesLegacyLoop:
         with pytest.raises(OverflowDominated) as new:
             rf.estimate_risk(config)
         assert str(new.value) == str(old.value)
+
+
+class TestChunkedBatches:
+    # T = 25 makes tiles of 209 paths: batches of 4096 end in a ragged chunk of 1 tile (209 paths), of 3
+    # tiles (627) and of the default 16 (3,344), and the last batch, 1000 paths, is shorter than one chunk.
+    @pytest.mark.parametrize("criterion, mu", [("exponential", -1.0), ("exponential", 0.2), ("mean_square", -1.0)])
+    def test_chunk_size_moves_no_bit(self, monkeypatch, criterion, mu):
+        leg, rn = (ar1_config(T=25, mu=mu, n_paths=3 * 4096 + 1000, seed=59, batch_size=4096, criterion=criterion,
+                              kind=kind) for kind in ("leg", "risk_neutral"))
+
+        def results():  # repr tells -0.0 from 0.0 and spells every float exactly
+            return repr((rf.estimate_risk(leg), rf.compare_filters(leg, rn)))
+
+        default = results()
+        for tiles in (1, 3, 1 << 30):  # 1 << 30 tiles: each batch is one chunk
+            monkeypatch.setattr(sim, "CHUNK_TILES", tiles)
+            assert results() == default, tiles
+
+    @pytest.mark.parametrize("width", [50, 51])
+    def test_chunked_draws_equal_one_draw(self, width):
+        # Chunked batches rest on this: standard_normal(out=...) calls on one generator continue one stream.
+        seed = np.random.SeedSequence(61).spawn(2)[1]
+        whole = np.empty((2000, width))
+        np.random.Generator(np.random.Philox(seed)).standard_normal(out=whole)
+        chunked = np.empty_like(whole)
+        draw = np.random.Generator(np.random.Philox(seed)).standard_normal
+        for start, rows in zip(np.cumsum([0, 627, 1, 3, 627]), [627, 1, 3, 627, 742]):
+            draw(out=chunked[start: start + rows])
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_four_batch_comparison_holds_chunks_not_batches(self):
+        # Whole-batch buffers made this 154 MB on two workers: 2**15 paths of z (200 floats) and e (100) each.
+        leg, rn = (ar1_config(T=100, mu=0.2, n_paths=4 << 15, seed=67, kind=kind) for kind in ("leg", "risk_neutral"))
+        tracemalloc.start()
+        try:
+            rf.compare_filters(leg, rn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 @pytest.mark.parametrize("compare", [False, True])
