@@ -8,7 +8,8 @@ into per-step scale factors, per-step quadratic exponents and a positive
 martingale driven by the innovations of the risk-neutral filter. All
 exponents are assembled in log space; plain values are exposed as
 properties. ``cm_general`` evaluates the same object for an arbitrary
-jointly Gaussian signal-observation pair through exact conditioning.
+jointly Gaussian signal-observation pair through the oracle's conditioning
+on the law augmented with the auxiliary observations.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, SingularConditioning, TransformDiverges
 from .filtering import _centering, leg_filter, z_h
 from .model import GaussianModel, RiskSpec, sample_paths
-from .oracle import assemble_joint, log_expected_exp_quadratic
-from .volterra import COND_LIMIT, VolterraSolution, solve_volterra
+from .oracle import _augment, _aux_correction, _schur, assemble_joint, log_expected_exp_quadratic
+from .volterra import VolterraSolution, solve_volterra
 
 SIGMA_FLOOR = 1e-14
 
@@ -237,30 +238,6 @@ class CMGeneralResult:
         return np.exp(self.log_M)
 
 
-def _raw_condition(mean, cov, obs, vals):
-    """Schur-complement conditioning on raw arrays.
-
-    Unlike the validated oracle path this tolerates an indefinite matrix
-    (the risk-averse continuation makes the auxiliary noise "variances"
-    negative) and drops only exactly-degenerate coordinates, whose whole
-    covariance row vanishes.
-    """
-    scale = max(float(np.max(np.abs(cov))), 1.0)
-    keep = [i for i in obs if np.max(np.abs(cov[i])) > 1e-14 * scale]
-    vals = np.asarray(vals, dtype=float)[[k for k, i in enumerate(obs) if i in set(keep)]]
-    rest = [i for i in range(len(mean)) if i not in set(obs)]
-    if not keep:
-        return rest, mean[rest].copy(), cov[np.ix_(rest, rest)].copy()
-    Soo = cov[np.ix_(keep, keep)]
-    if np.linalg.cond(Soo) > COND_LIMIT:
-        raise SingularConditioning("observed block is numerically singular")
-    Sro = cov[np.ix_(rest, keep)]
-    sol = np.linalg.solve(Soo, vals - mean[keep])
-    mc = mean[rest] + Sro @ sol
-    Sc = cov[np.ix_(rest, rest)] - Sro @ np.linalg.solve(Soo, Sro.T)
-    return rest, mc, (Sc + Sc.T) / 2
-
-
 def cm_general(joint_or_model, risk: RiskSpec, Y, h, aux_values=None) -> CMGeneralResult:
     """Conditional transform factorization without structural assumptions.
 
@@ -270,77 +247,64 @@ def cm_general(joint_or_model, risk: RiskSpec, Y, h, aux_values=None) -> CMGener
     squared-error auxiliary observations (mu > 0 proceeds as the analytic
     continuation with negative auxiliary noise weights). The auxiliary
     observation values cancel out of the result; ``aux_values`` (default
-    zeros) only needs to be a vector of the right length.
+    zeros) only needs to be a finite vector of the right length.
+
+    An observed coordinate is dropped only when its whole covariance row
+    vanishes: at mu > 0 a zero-variance auxiliary can still be informative.
     """
-    if isinstance(joint_or_model, GaussianModel):
-        joint = assemble_joint(joint_or_model)
-    else:
-        joint = joint_or_model
+    joint = assemble_joint(joint_or_model) if isinstance(joint_or_model, GaussianModel) else joint_or_model
     Y = np.asarray(Y, dtype=float)
     h = np.asarray(h, dtype=float)
-    x_idx = joint.indices("x")
-    y_idx = joint.indices("y")
-    T = len(y_idx)
+    x_idx, y_idx = joint.indices("x"), joint.indices("y")
+    T, N = len(y_idx), joint.dim
     if len(x_idx) != T:
         raise DimensionMismatch("general factorization requires one signal coordinate per step")
     if Y.shape != (T,) or h.shape != (T,):
         raise DimensionMismatch(f"Y and h must have length {T}")
-
-    Qp = -risk.mu * risk.q_vector()
-    mu = risk.mu
-    Q = risk.q_vector()
     aux = np.zeros(T) if aux_values is None else np.asarray(aux_values, dtype=float)
+    if aux.shape != (T,):
+        raise DimensionMismatch(f"aux_values must have length {T}")
+    if not np.all(np.isfinite(aux)):
+        raise DomainError("aux_values must be finite")
 
-    # Canonical augmented layout: x_t -> t-1, y_t -> T+t-1, aux_t -> 2T+t-1.
-    perm = x_idx + y_idx
-    m0 = joint.mean[perm]
-    c0 = joint.cov[np.ix_(perm, perm)]
-    mean = np.concatenate([m0, Qp * (m0[:T] - h)])
-    cov = np.zeros((3 * T, 3 * T))
-    cov[: 2 * T, : 2 * T] = c0
-    cov[: 2 * T, 2 * T :] = c0[:, :T] * Qp[None, :]
-    cov[2 * T :, : 2 * T] = cov[: 2 * T, 2 * T :].T
-    cov[2 * T :, 2 * T :] = Qp[:, None] * c0[:T, :T] * Qp[None, :] + np.diag(Qp)
+    mu, Q = risk.mu, risk.q_vector()
+    Qp = -mu * Q
+    # aux_t sits at N + t - 1, after the joint's own coordinates
+    mean, cov = _augment(joint.mean, joint.cov, x_idx, Qp, h)
+    row_max = np.max(np.abs(cov), axis=1)
+    live = row_max > 1e-14 * max(float(np.max(row_max)), 1.0)
 
-    log_steps = np.zeros(T)
-    log_m_steps = np.zeros(T)
-    z_t = np.zeros(T)
-    g_t = np.zeros(T)
-    s2 = np.zeros(T)
-    s2b = np.zeros(T)
-    vb = np.zeros(T)
+    def moments(i, obs, vals):
+        """Conditional mean, variance and auxiliary correction of coordinate i."""
+        obs_set = set(obs)
+        keep = [k for k, j in enumerate(obs) if live[j]]
+        rest = [j for j in range(len(mean)) if j not in obs_set]
+        mc, Sc = _schur(mean, cov, [obs[k] for k in keep], vals[keep], rest)
+        pos = {j: k for k, j in enumerate(rest)}
+        k = pos[i]
+        steps = [j - N for j in obs if j >= N]  # observed auxiliaries, 0-based steps
+        return mc[k], Sc[k, k], _aux_correction(aux[steps], Sc[k], [pos[x_idx[s]] for s in steps])
+
+    log_steps, log_m_steps, z_t, g_t, s2, s2b, vb = np.zeros((7, T))
     for t in range(1, T + 1):
+        y_hist = y_idx[: t - 1]
+        hist = y_hist + list(range(N, N + t - 1))
+        hist_vals = np.concatenate([Y[: t - 1], aux[: t - 1]])
+
         # plain innovation moments of Y_t
-        hist_y = [T + s - 1 for s in range(1, t)]
-        rest, mc, Sc = _raw_condition(mean, cov, hist_y, Y[: t - 1])
-        pos = {i: k for k, i in enumerate(rest)}
-        iy = pos[T + t - 1]
-        s2[t - 1] = Sc[iy, iy]
-        piY = mc[iy]
+        piY, s2[t - 1], _ = moments(y_idx[t - 1], y_hist, Y[: t - 1])
         if s2[t - 1] <= SIGMA_FLOOR:
             raise SingularConditioning(f"innovation variance at step {t} is not positive")
 
         # augmented-history innovation moments of Y_t
-        hist = hist_y + [2 * T + s - 1 for s in range(1, t)]
-        rest, mc, Sc = _raw_condition(mean, cov, hist, np.concatenate([Y[: t - 1], aux[: t - 1]]))
-        pos = {i: k for k, i in enumerate(rest)}
-        iy2 = pos[T + t - 1]
-        s2b[t - 1] = Sc[iy2, iy2]
+        v, s2b[t - 1], corr = moments(y_idx[t - 1], hist, hist_vals)
         if s2b[t - 1] <= SIGMA_FLOOR:
             raise SingularConditioning(f"augmented innovation variance at step {t} is not positive")
-        corr = sum(aux[s - 1] * Sc[iy2, pos[s - 1]] for s in range(1, t))
-        vb[t - 1] = mc[iy2] - corr
+        vb[t - 1] = v - corr
 
         # filtered moments of X_t given observations to t, auxiliaries to t-1
-        rest, mc, Sc = _raw_condition(
-            mean, cov, hist + [T + t - 1],
-            np.concatenate([Y[: t - 1], aux[: t - 1], Y[t - 1 : t]]),
-        )
-        pos = {i: k for k, i in enumerate(rest)}
-        ix = pos[t - 1]
-        g_t[t - 1] = Sc[ix, ix]
-        zcorr = sum(aux[s - 1] * Sc[ix, pos[s - 1]] for s in range(1, t))
-        z_t[t - 1] = mc[ix] - zcorr
+        z, g_t[t - 1], zcorr = moments(x_idx[t - 1], hist + [y_idx[t - 1]], np.append(hist_vals, Y[t - 1]))
+        z_t[t - 1] = z - zcorr
 
         denom = 1.0 + Qp[t - 1] * g_t[t - 1]
         if denom <= SIGMA_FLOOR:

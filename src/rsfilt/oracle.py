@@ -5,6 +5,8 @@ minimization over affine causal filters.
 Everything here goes through symmetric factorizations with explicit
 condition-number guards; a failure raises instead of regularizing, because
 these routines act as the reference the recursive solvers are tested against.
+The Schur complement and the augmented-law builder run on raw arrays, so
+``cameron_martin.cm_general`` uses them on its indefinite law too.
 """
 
 from __future__ import annotations
@@ -128,11 +130,29 @@ class JointGaussian:
         return [self.labels[k] for k in keys]
 
 
+def _schur(mean, cov, obs, vals, rest):
+    """Conditional (mean, cov) of coordinates ``rest`` given ``obs`` = ``vals``.
+
+    Unvalidated Schur complement: the caller picks the observed coordinates
+    it keeps, and the law may be indefinite. Only the condition number of
+    the observed block is guarded.
+    """
+    if not obs:
+        return mean[rest], cov[np.ix_(rest, rest)]
+    Soo = cov[np.ix_(obs, obs)]
+    if np.linalg.cond(Soo) > COND_LIMIT:
+        raise SingularConditioning(f"observed block is numerically singular (cond > {COND_LIMIT:.0e})")
+    Sro = cov[np.ix_(rest, obs)]
+    sol = np.linalg.solve(Soo, vals - mean[obs])
+    Sc = cov[np.ix_(rest, rest)] - Sro @ np.linalg.solve(Soo, Sro.T)
+    return mean[rest] + Sro @ sol, (Sc + Sc.T) / 2
+
+
 def condition(joint: JointGaussian, observed_indices, observed_values) -> JointGaussian:
     """Condition on coordinates taking exact values.
 
-    Degenerate observed coordinates (conditional variance already ~0) are
-    dropped from the conditioning set rather than regularized.
+    An observed coordinate whose variance is already ~0 is dropped from the
+    conditioning set (and listed in ``dropped``) rather than regularized.
     """
     observed_indices = list(observed_indices)
     observed_values = np.asarray(observed_values, dtype=float)
@@ -146,23 +166,8 @@ def condition(joint: JointGaussian, observed_indices, observed_values) -> JointG
     obs = [observed_indices[k] for k in keep]
     obs_set, observed_set = set(obs), set(observed_indices)
     dropped = tuple(i for i in observed_indices if i not in obs_set)
-    vals = observed_values[keep]
     rest = [i for i in range(joint.dim) if i not in observed_set]
-
-    if obs:
-        Soo = joint.cov[np.ix_(obs, obs)]
-        if np.linalg.cond(Soo) > COND_LIMIT:
-            raise SingularConditioning(
-                f"observed block is numerically singular (cond > {COND_LIMIT:.0e})"
-            )
-        Sro = joint.cov[np.ix_(rest, obs)]
-        sol = np.linalg.solve(Soo, vals - joint.mean[obs])
-        mean = joint.mean[rest] + Sro @ sol
-        cov = joint.cov[np.ix_(rest, rest)] - Sro @ np.linalg.solve(Soo, Sro.T)
-        cov = (cov + cov.T) / 2
-    else:
-        mean = joint.mean[rest].copy()
-        cov = joint.cov[np.ix_(rest, rest)].copy()
+    mean, cov = _schur(joint.mean, joint.cov, obs, observed_values[keep], rest)
 
     remap = {old: new for new, old in enumerate(rest)}
     labels = {k: remap[i] for k, i in joint.labels.items() if i in remap}
@@ -194,32 +199,40 @@ def assemble_joint(model: GaussianModel) -> JointGaussian:
     return JointGaussian(mean=mean, cov=cov, labels=labels)
 
 
+def _augment(mean, cov, x_idx, Qp, h):
+    """Unvalidated (mean, cov) of ``augment_with_aux`` on raw arrays, aux_t at
+    len(mean) + t - 1; a negative Qp (mu > 0) gives an indefinite law."""
+    Qp = np.asarray(Qp, dtype=float)
+    h = np.asarray(h, dtype=float)
+    T, N = len(x_idx), mean.shape[0]
+    if Qp.shape != (T,) or h.shape != (T,):
+        raise DimensionMismatch("Qp and h must be scalar sequences matching the signal horizon")
+    out = np.zeros((N + T, N + T))
+    out[:N, :N] = cov
+    out[:N, N:] = cov[:, x_idx] * Qp[None, :]
+    out[N:, :N] = out[:N, N:].T
+    out[N:, N:] = Qp[:, None] * cov[np.ix_(x_idx, x_idx)] * Qp[None, :] + np.diag(Qp)
+    return np.concatenate([mean, Qp * (mean[x_idx] - h)]), out
+
+
 def augment_with_aux(joint: JointGaussian, Qp, h) -> JointGaussian:
     """Extend an (x, y) joint with the squared-error auxiliary observations.
 
     aux_t = Qp_t (X_t - h_t) + sqrt(Qp_t) e_t with independent standard
     noise e and the realized estimates ``h`` treated as constants. Scalar
-    signal coordinates only.
+    signal coordinates only; the result is validated.
     """
-    Qp = np.asarray(Qp, dtype=float)
-    h = np.asarray(h, dtype=float)
     x_idx = joint.indices("x")
-    T = len(x_idx)
-    if Qp.shape != (T,) or h.shape != (T,):
-        raise DimensionMismatch("Qp and h must be scalar sequences matching the signal horizon")
-
-    N = joint.dim
-    mean = np.concatenate([joint.mean, Qp * (joint.mean[x_idx] - h)])
-    cov = np.zeros((N + T, N + T))
-    cov[:N, :N] = joint.cov
-    CX = joint.cov[:, x_idx]
-    cov[:N, N:] = CX * Qp[None, :]
-    cov[N:, :N] = cov[:N, N:].T
-    cov[N:, N:] = Qp[:, None] * joint.cov[np.ix_(x_idx, x_idx)] * Qp[None, :] + np.diag(Qp)
+    mean, cov = _augment(joint.mean, joint.cov, x_idx, Qp, h)
     labels = dict(joint.labels)
-    for t in range(T):
-        labels[("aux", t + 1, 0)] = N + t
+    labels.update({("aux", t + 1, 0): joint.dim + t for t in range(len(x_idx))})
     return JointGaussian(mean=mean, cov=cov, labels=labels)
+
+
+def _aux_correction(aux, row, x_pos):
+    """sum_s aux_s Cov(., X_s | history), from a conditional covariance row
+    and the positions of X_1, X_2, ... in it, summed in step order."""
+    return sum(a * row[j] for a, j in zip(aux, x_pos))
 
 
 @dataclass(frozen=True)
@@ -240,11 +253,18 @@ class AugmentedSystem:
     def horizon(self) -> int:
         return len(self.y_values)
 
-    def _condition(self, n_y: int, n_aux: int) -> JointGaussian:
-        idx = [self.joint.index(("y", t + 1, 0)) for t in range(n_y)]
-        idx += [self.joint.index(("aux", t + 1, 0)) for t in range(n_aux)]
-        vals = np.concatenate([self.y_values[:n_y], self.aux_values[:n_aux]])
-        return condition(self.joint, idx, vals)
+    def _moments(self, t: int, n_y: int):
+        """(mean, variance, auxiliary correction) of X_t given Y_1..Y_{n_y}, aux_1..aux_{t-1}."""
+        T = self.horizon
+        if not 1 <= t <= T:
+            raise DomainError(f"step t must lie in [1, {T}], got {t}")
+        idx = [self.joint.index(("y", s + 1, 0)) for s in range(n_y)]
+        idx += [self.joint.index(("aux", s, 0)) for s in range(1, t)]
+        vals = np.concatenate([self.y_values[:n_y], self.aux_values[: t - 1]])
+        cond = condition(self.joint, idx, vals)
+        i = cond.index(("x", t, 0))
+        x_pos = [cond.index(("x", s, 0)) for s in range(1, t)]
+        return cond.mean[i], cond.cov[i, i], _aux_correction(self.aux_values[: t - 1], cond.cov[i], x_pos)
 
     def predictor_moments(self, t: int):
         """(mean, variance, error-accumulator covariance) of X_t given the
@@ -253,25 +273,13 @@ class AugmentedSystem:
         The third value is sum_{s<t} aux_s Cov(X_t, X_s | history), the
         correction that turns the predictor into the centering sequence.
         """
-        cond = self._condition(t - 1, t - 1)
-        i = cond.index(("x", t, 0))
-        mean = float(cond.mean[i])
-        var = float(cond.cov[i, i])
-        acc = 0.0
-        for s in range(1, t):
-            j = cond.index(("x", s, 0))
-            acc += self.aux_values[s - 1] * cond.cov[i, j]
-        return mean, var, float(acc)
+        mean, var, acc = self._moments(t, t - 1)
+        return float(mean), float(var), float(acc)
 
     def filtered_moments(self, t: int):
         """(center, variance) of X_t given observations to t and auxiliaries to t-1."""
-        cond = self._condition(t, t - 1)
-        i = cond.index(("x", t, 0))
-        acc = 0.0
-        for s in range(1, t):
-            j = cond.index(("x", s, 0))
-            acc += self.aux_values[s - 1] * cond.cov[i, j]
-        return float(cond.mean[i] - acc), float(cond.cov[i, i])
+        mean, var, acc = self._moments(t, t)
+        return float(mean - acc), float(var)
 
 
 def augmented_system(model: GaussianModel, risk: RiskSpec, h, Y_values, aux_seed: int = 0) -> AugmentedSystem:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
-from rsfilt.errors import InconsistentRecursion
+from rsfilt.errors import DimensionMismatch, DomainError, InconsistentRecursion
 
 from conftest import random_causal_h, random_scalar_model
 
@@ -256,3 +256,68 @@ class TestZTildeConsistencyGuard:
         gen = rf.cm_general(model, risk, Y, h)
         exact = rf.conditional_exp_quadratic(rf.assemble_joint(model), Y, risk, h)
         assert abs(gen.I[-1] - exact) <= 1e-9 * max(1.0, exact)
+
+
+def interleaved(joint):
+    """The same law with coordinates reordered as (x1, y1, x2, y2, ...)."""
+    T = len(joint.indices("x"))
+    perm = [i for t in range(T) for i in (joint.index(("x", t + 1, 0)), joint.index(("y", t + 1, 0)))]
+    labels = {(kind, t + 1, 0): 2 * t + k for t in range(T) for k, kind in enumerate("xy")}
+    return rf.JointGaussian(mean=joint.mean[perm], cov=joint.cov[np.ix_(perm, perm)], labels=labels)
+
+
+class TestCmGeneralConditioning:
+    def setup_method(self):
+        self.model = rf.build_ar1(0.8, 1.0, 0.0, 1.0, 3)
+        self.risk = rf.RiskSpec(mu=-1.0, Q=np.ones(3))
+        self.Y = np.array([0.3, -0.4, 1.1])
+        self.h = np.array([0.1, 0.0, 0.5])
+
+    def test_risk_horizon_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            rf.cm_general(self.model, rf.RiskSpec(mu=-1.0, Q=np.ones(4)), self.Y, self.h)
+
+    def test_short_aux_values(self):
+        with pytest.raises(DimensionMismatch):
+            rf.cm_general(self.model, self.risk, self.Y, self.h, aux_values=np.zeros(2))
+
+    def test_long_aux_values(self):
+        with pytest.raises(DimensionMismatch):
+            rf.cm_general(self.model, self.risk, self.Y, self.h, aux_values=np.zeros(6))
+
+    def test_non_finite_aux_values(self):
+        with pytest.raises(DomainError):
+            rf.cm_general(self.model, self.risk, self.Y, self.h, aux_values=np.full(3, np.nan))
+
+    def test_keeps_zero_variance_auxiliary_with_live_row(self):
+        # at mu > 0 aux_1 has variance Qp (Qp K11 + 1) = 0 but covaries with
+        # X_2 and Y_2: the whole-row rule conditions on it, and only that
+        # matches the exact transform (the diagonal rule reads 1.4466560)
+        model = rf.build_general(np.zeros(2), np.array([[1.0, 0.3], [0.3, 1.0]]), np.ones(2))
+        risk = rf.RiskSpec(mu=0.5, Q=np.array([2.0, 0.1]))
+        Y, h = np.array([0.4, -0.7]), np.array([0.1, -0.2])
+        Qp = -risk.mu * risk.Q
+        assert Qp[0] * (Qp[0] * 1.0 + 1.0) == 0.0
+        gen = rf.cm_general(model, risk, Y, h)
+        exact = rf.conditional_exp_quadratic(rf.assemble_joint(model), Y, risk, h)
+        assert abs(gen.I[-1] - exact) <= 1e-9
+        assert abs(gen.I[-1] - 1.4188341) <= 1e-7
+
+    def test_independent_of_joint_layout(self, rng):
+        T = 4
+        models = [
+            rf.build_ar1(0.9, 1.0, 0.5, rng.normal(size=T), T),
+            rf.build_ma1(0.6, rng.normal(size=T), T),
+            random_scalar_model(rng, T),
+        ]
+        for model in models:
+            joint = rf.assemble_joint(model)
+            Y = rng.normal(size=T)
+            h = random_causal_h(rng, Y)
+            for mu in (-1.0, 0.05):
+                risk = rf.RiskSpec(mu=mu, Q=rng.uniform(0.2, 1.0, T))
+                aux = rng.normal(size=T)
+                a = rf.cm_general(joint, risk, Y, h, aux_values=aux)
+                b = rf.cm_general(interleaved(joint), risk, Y, h, aux_values=aux)
+                for field in ("log_I", "log_M", "z_tilde"):
+                    assert_allclose(getattr(b, field), getattr(a, field), rtol=0, atol=1e-12)

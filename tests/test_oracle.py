@@ -282,6 +282,28 @@ class TestAugmentedSystem:
         assert np.all(np.diff(variances) <= 1e-12)
 
 
+    def test_steps_outside_horizon_rejected(self, rng):
+        model = random_scalar_model(rng, 3)
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(3))
+        aug = rf.augmented_system(model, risk, np.zeros(3), rng.normal(size=3), aux_seed=4)
+        for t in (0, 4):
+            with pytest.raises(DomainError, match=r"step t must lie in \[1, 3\]"):
+                aug.predictor_moments(t)
+            with pytest.raises(DomainError, match=r"step t must lie in \[1, 3\]"):
+                aug.filtered_moments(t)
+
+
+class TestConditionDegeneracyRule:
+    def test_drops_coordinate_with_tiny_variance(self):
+        # the diagonal rule drops coordinate 1 (variance 1e-20); the whole-row
+        # rule of cm_general would keep it, its covariance 1e-10 being live
+        joint = rf.JointGaussian(mean=np.zeros(2), cov=np.array([[1.0, 1e-10], [1e-10, 1e-20]]))
+        cond = rf.condition(joint, [1], [3.0])
+        assert cond.dropped == (1,)
+        assert cond.cov.tolist() == [[1.0]]
+        assert cond.mean.tolist() == [0.0]
+
+
 def reference_affine_risk(model, risk, filt, extra_x_weight=None):
     """The affine-filter criterion as one integral over the whole (X, Y) joint.
 
