@@ -4,14 +4,14 @@ Every filter is resolved to its causal affine map once, and with the joint
 factor of (X, eps) that map becomes one residual map from a path's standard
 normals z to its estimation error, so each batch costs one matrix product
 per filter. Each batch draws its normals from its own counter-based stream.
-A run of several batches hands each batch to one of a few worker threads,
-which draws it and applies every residual map over tiles of paths, a chunk
-of a few thousand paths at a time: a worker holds a chunk of z and of the
-errors plus n weights per filter per batch (a one-batch run holds whole-batch
-buffers), and returns only the batch's partial sums; the calling thread folds
-them in batch order, so no number depends on the threads. Partial sums are
-combined with ``math.fsum`` so results are reproducible independent of the
-batching. Filter comparisons reuse the same paths (common random numbers).
+Each batch goes to one of a few workers (the calling thread alone when one
+runs), which draws it and applies every residual map over tiles of paths, a
+chunk of a few thousand paths at a time: a worker holds a chunk of z and of
+the errors plus n weights per filter per batch, and returns only the batch's
+partial sums; the calling thread folds them in batch order, so no number
+depends on the threads. Partial sums are combined with ``math.fsum`` so
+results are reproducible independent of the batching. Filter comparisons
+reuse the same paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1", field="n_paths")
+        size = self.batch_size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ConfigError(f"batch_size must be an integer of at least 1, got {size!r}", field="batch_size")
         if self.filter_kind not in ("leg", "risk_neutral", "custom"):
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}", field="filter.kind")
         if self.filter_kind == "custom" and self.custom is None:
@@ -161,7 +164,7 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
     for two filters the paired difference's (shift, sum d, sum d^2). A chunk
     continues the batch's one normal stream and its products run stacked over
     tiles of ``tile`` paths, a part tile as one more product; z's rows are whole
-    tiles or the whole batch, so each number is a whole-batch buffer's. e is scratch.
+    tiles or the whole batch, so no number depends on the chunk size. e is scratch.
     """
     draw = np.random.Generator(np.random.Philox(seed)).standard_normal
     width = z.shape[1]
@@ -205,17 +208,12 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
 def _batch_results(seeds, sizes, width: int, maps, Q, risk, exponential: bool):
     """Each batch's ``_batch`` result, in batch order.
 
-    One batch runs on the calling thread as one whole-batch product in
-    whole-batch buffers. Several run as jobs on min(batches, cpus, DRAW_WORKERS)
-    threads with tile-sized products; their chunk-sized (z, e) buffers, one pair
-    per thread, are allocated here and pass between jobs through a free list.
+    Batches run as jobs on min(batches, cpus, DRAW_WORKERS) workers, in order
+    on the calling thread when that is one, else on a thread pool; either way
+    moves no bit. Their chunk-sized (z, e) buffers, one pair per worker, are
+    allocated here and pass between jobs through a free list.
     """
     T = len(Q)
-    if len(sizes) == 1:
-        n = sizes[0]
-        return [_batch(seeds[0], n, np.empty((n, width)), np.empty((n, T)), maps, Q, risk, exponential, n)]
-    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
-
     workers = min(len(sizes), _available_cpus(), DRAW_WORKERS)
     tile = max(1, TILE_MADDS // (T * width))
     chunk = min(CHUNK_TILES * tile, sizes[0])
@@ -227,6 +225,10 @@ def _batch_results(seeds, sizes, width: int, maps, Q, risk, exponential: bool):
             return _batch(seeds[b], sizes[b], z, e, maps, Q, risk, exponential, tile)
         finally:
             free.append((z, e))
+
+    if workers == 1:
+        return [job(b) for b in range(len(sizes))]
+    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -343,6 +345,7 @@ def compare_filters(config_a: ExperimentConfig, config_b: ExperimentConfig) -> C
         np.array_equal(config_a.model.mean, config_b.model.mean)
         and np.array_equal(config_a.model.cov, config_b.model.cov)
         and np.array_equal(config_a.model.gains, config_b.model.gains)
+        and np.array_equal(config_a.model.flat_cross(), config_b.model.flat_cross())  # a missing table is a zero one
     ):
         raise ConfigError("paired comparison requires a shared model")
     if config_a.criterion != config_b.criterion or config_a.risk.mu != config_b.risk.mu or not np.array_equal(

@@ -183,6 +183,17 @@ class TestCompareFilters:
         with pytest.raises(ConfigError):
             rf.compare_filters(ar1_config(seed=1), ar1_config(seed=2))
 
+    def test_shared_cross_table_required(self):
+        # Models differing only in K_Xeps: side b simulated under model a read -0.3270, estimate_risk(b) -0.4754.
+        T = 4
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(T))
+        filt = rf.AffineFilter(intercept=np.zeros(T), gains=0.5 * np.eye(T))
+        a, b = (rf.ExperimentConfig(model=rf.build_vector_model(np.zeros(T), 2 * np.eye(T), np.ones(T), c * np.eye(T)),
+                                    risk=risk, filter_kind="custom", custom=filt, n_paths=20000, seed=1)
+                for c in (0.0, 0.6))
+        with pytest.raises(ConfigError):
+            rf.compare_filters(a, b)
+
     def test_shared_criterion_required(self):
         a = ar1_config(seed=1)
         b = ar1_config(seed=1, mu=-2.0)
@@ -202,6 +213,13 @@ class TestExperimentConfig:
         config = rf.ExperimentConfig.from_dict(cfg)
         assert config.n_paths == 500
         assert config.model.horizon == 3
+
+    @pytest.mark.parametrize("batch_size", [0, -4096, 2.5, 1024.0, True, "1024", None])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        # Only constructed: a size below 1 made the batch generator endless, so no estimate may run with one.
+        with pytest.raises(ConfigError) as caught:
+            ar1_config(batch_size=batch_size)
+        assert caught.value.field == "batch_size"
 
     def test_custom_filter_requires_coefficients(self):
         cfg = {
@@ -451,9 +469,16 @@ class TestMatchesLegacyLoop:
 class TestChunkedBatches:
     # T = 25 makes tiles of 209 paths: batches of 4096 end in a ragged chunk of 1 tile (209 paths), of 3
     # tiles (627) and of the default 16 (3,344), and the last batch, 1000 paths, is shorter than one chunk.
-    @pytest.mark.parametrize("criterion, mu", [("exponential", -1.0), ("exponential", 0.2), ("mean_square", -1.0)])
-    def test_chunk_size_moves_no_bit(self, monkeypatch, criterion, mu):
-        leg, rn = (ar1_config(T=25, mu=mu, n_paths=3 * 4096 + 1000, seed=59, batch_size=4096, criterion=criterion,
+    # One batch of 3000 paths runs on the calling thread and is one chunk by default.
+    @pytest.mark.parametrize("criterion, mu, n_paths, batch_size", [
+        pytest.param("exponential", -1.0, 3 * 4096 + 1000, 4096, id="exponential--1.0"),
+        pytest.param("exponential", 0.2, 3 * 4096 + 1000, 4096, id="exponential-0.2"),
+        pytest.param("mean_square", -1.0, 3 * 4096 + 1000, 4096, id="mean_square--1.0"),
+        pytest.param("exponential", 0.2, 3000, 1 << 15, id="one-batch-exponential-0.2"),
+        pytest.param("mean_square", -1.0, 3000, 1 << 15, id="one-batch-mean_square--1.0"),
+    ])
+    def test_chunk_size_moves_no_bit(self, monkeypatch, criterion, mu, n_paths, batch_size):
+        leg, rn = (ar1_config(T=25, mu=mu, n_paths=n_paths, seed=59, batch_size=batch_size, criterion=criterion,
                               kind=kind) for kind in ("leg", "risk_neutral"))
 
         def results():  # repr tells -0.0 from 0.0 and spells every float exactly
@@ -476,9 +501,11 @@ class TestChunkedBatches:
             draw(out=chunked[start: start + rows])
         assert chunked.tobytes() == whole.tobytes()
 
-    def test_four_batch_comparison_holds_chunks_not_batches(self):
-        # Whole-batch buffers made this 154 MB on two workers: 2**15 paths of z (200 floats) and e (100) each.
-        leg, rn = (ar1_config(T=100, mu=0.2, n_paths=4 << 15, seed=67, kind=kind) for kind in ("leg", "risk_neutral"))
+    @pytest.mark.parametrize("n_paths", [pytest.param(4 << 15, id="4-batches"), pytest.param(1 << 15, id="1-batch")])
+    def test_comparison_holds_chunks_not_batches(self, n_paths):
+        # Whole-batch buffers made this 154 MB on two workers and 82 MB for one batch on the calling
+        # thread: 2**15 paths of z (200 floats) and e (100) each.
+        leg, rn = (ar1_config(T=100, mu=0.2, n_paths=n_paths, seed=67, kind=kind) for kind in ("leg", "risk_neutral"))
         tracemalloc.start()
         try:
             rf.compare_filters(leg, rn)
@@ -488,9 +515,14 @@ class TestChunkedBatches:
         assert peak < 16e6
 
 
-@pytest.mark.parametrize("compare", [False, True])
-def test_failure_in_a_job_cancels_the_rest(monkeypatch, compare):
-    monkeypatch.setattr(sim, "DRAW_WORKERS", 2)
+@pytest.mark.parametrize("compare, workers", [
+    pytest.param(False, 2, id="False"),
+    pytest.param(True, 2, id="True"),
+    pytest.param(False, 1, id="one-worker-False"),
+    pytest.param(True, 1, id="one-worker-True"),
+])
+def test_failure_in_a_job_cancels_the_rest(monkeypatch, compare, workers):
+    monkeypatch.setattr(sim, "DRAW_WORKERS", workers)
     monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
     boom = RuntimeError("batch 3 failed")
     started = []
@@ -514,3 +546,4 @@ def test_failure_in_a_job_cancels_the_rest(monkeypatch, compare):
     assert caught.value is boom
     assert threading.active_count() == threads
     assert 3 in started and not {6, 7} & set(started)
+    assert workers > 1 or started == [0, 1, 2, 3]  # one worker runs the batches in order and stops at the failure
