@@ -317,14 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=False, help="path to a JSON configuration")
+    def outputs(p):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--seed", type=_flag_type(int, "--seed", "an integer"), help="seed override (unsigned 64-bit)")
-        p.add_argument("--paths", type=_flag_type(int, "--paths", "an integer"), help="path-count override")
-        p.add_argument("--mu", type=_flag_type(float, "--mu", "a number"), help="risk parameter override")
 
     for name, fn in (
         ("validate", _cmd_validate),
@@ -335,13 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", _cmd_compare),
     ):
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("--config", required=False, help="path to a JSON configuration")
+        outputs(p)
+        p.add_argument("--seed", type=_flag_type(int, "--seed", "an integer"), help="seed override (unsigned 64-bit)")
+        if name in ("simulate", "compare"):  # the Monte Carlo verbs; the others draw at most one path
+            p.add_argument("--paths", type=_flag_type(int, "--paths", "an integer"), help="path-count override")
+        p.add_argument("--mu", type=_flag_type(float, "--mu", "a number"), help="risk parameter override")
         if name == "simulate":
             p.add_argument("--batch-csv", help="also write per-batch partial sums to this CSV")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("example-5-2")
-    common(p, needs_config=False)
+    outputs(p)
     p.add_argument("--T", type=_flag_type(int, "--T", "an integer"), default=10)
     p.set_defaults(fn=_cmd_example_5_2)
     return parser

@@ -39,16 +39,18 @@ def _as_sequence(x, T, name):
     return arr
 
 
-def _symmetrize_from_lower(K):
-    """Mirror the lower triangle (including diagonal) onto the upper, in two tables: tril(K) and one
-    transposed strict-lower copy. Entries are those of tril(K) + tril(K).T - diag(diag(K)): a -0.0
-    reads +0.0, and a diagonal entry d is (d + d) - d, which is inf for |d| above DBL_MAX / 2."""
-    S = np.tril(K)
-    S += np.tril(K, -1).T
-    d = np.diagonal(K)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail validation
-        np.fill_diagonal(S, (d + d) - d)
-    return S
+def _mirror_lower(K):
+    """The symmetric (T, T, n, n) table read from K's blocks at t >= s, in one table and a boolean
+    mask: block (s, t) is K[t, s]' for s < t, diagonal block t is (K[t, t] + K[t, t]') / 2, and a
+    -0.0 reads +0.0. Blocks above the diagonal are never read. A diagonal-block sum past DBL_MAX
+    reads +-inf, without a warning, and fails validation."""
+    idx = np.arange(K.shape[0])
+    Kt = K.transpose(1, 0, 3, 2)
+    full = np.where((idx[:, None] > idx[None, :])[:, :, None, None], K, Kt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full[idx, idx] = (K[idx, idx] + Kt[idx, idx]) / 2.0
+    full += 0.0
+    return full
 
 
 def check_psd(mat, what):
@@ -207,42 +209,6 @@ class Trajectory:
     seed: int
 
 
-def _validate_model(mean, cov, gains, cross_cov):
-    T, n = mean.shape
-    m = gains.shape[1]
-    if cov.shape != (T, T, n, n):
-        raise DimensionMismatch(f"cov must have shape {(T, T, n, n)}, got {cov.shape}")
-    if gains.shape != (T, m, n):
-        raise DimensionMismatch(f"gains must have shape {(T, m, n)}, got {gains.shape}")
-    idx = np.arange(T)
-    diag_vars = np.diagonal(cov[idx, idx], axis1=1, axis2=2)
-    if np.any(diag_vars < -PSD_TOL * max(float(diag_vars.max(initial=0.0)), 1.0)):
-        raise NotPositiveSemidefinite(
-            f"a diagonal block of cov has a negative variance ({float(diag_vars.min()):.3e})",
-            worst_eigenvalue=float(diag_vars.min()),
-        )
-    model = GaussianModel(mean=mean, cov=cov, gains=gains, cross_cov=cross_cov)
-    certified = _schur_certificate(model)
-    if not certified:
-        check_psd(model.flat_cov(), "signal covariance table")
-    if cross_cov is not None:
-        if cross_cov.shape != (T, T, n, m):
-            raise DimensionMismatch(
-                f"cross_cov must have shape {(T, T, n, m)}, got {cross_cov.shape}", param="K_Xeps"
-            )
-        upper = np.any(cross_cov != 0.0, axis=(2, 3)) & (idx[:, None] < idx[None, :])
-        if upper.any():
-            t, s = np.argwhere(upper)[0]  # row-major: the first (t, then s) pair
-            raise DimensionMismatch(
-                "cross_cov must be lower-triangular: noise at step "
-                f"{s + 1} may not correlate with the signal at earlier step {t + 1}",
-                param="K_Xeps",
-            )
-        if not certified:  # the (signal, noise) joint must itself be a covariance
-            check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
-    return model
-
-
 def _schur_certificate(model: GaussianModel) -> bool:
     """Whether one Cholesky factorization passes both covariance checks of a correlated model.
 
@@ -299,25 +265,38 @@ def _lag_products(a):
     return np.tril(np.cumprod(factors, axis=1).T)
 
 
-def build_general(m, K, A) -> GaussianModel:
-    """Scalar model from a mean sequence, covariance table and gain sequence.
+def _ar1_table(a, D):
+    """Lower triangle of the AR(1) kernel K(t, s) = (prod_{s<u<=t} a_u) k_s, k_t = a_t^2 k_{t-1} + D_t
+    from k_0 = 0. An overflow gives inf or nan entries, without a warning, which fail validation."""
+    k = np.zeros(len(a))
+    prev = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(a)):
+            prev = a[t] ** 2 * prev + D[t]
+            k[t] = prev
+        return _lag_products(a) * k
 
-    Only the lower triangle of K is read; the symmetric extension is checked
-    for positive semidefiniteness.
-    """
+
+def _ma1_table(lam, T):
+    """Lower triangle of the MA(1) kernel: 1 + lam^2 on the diagonal, lam one step below it."""
+    with np.errstate(over="ignore"):  # an inf variance fails validation
+        K = np.diag(np.full(T, 1.0 + np.float64(lam) ** 2))
+    idx = np.arange(T - 1)
+    K[idx + 1, idx] = lam
+    return K
+
+
+def build_general(m, K, A) -> GaussianModel:
+    """Scalar model from a mean sequence, covariance table and gain sequence: the 1x1 case of
+    ``build_vector_model``, so only the lower triangle of K is read."""
     m = np.asarray(m, dtype=float)
     K = np.asarray(K, dtype=float)
-    A = np.asarray(A, dtype=float)
     if m.ndim != 1:
         raise DimensionMismatch(f"mean must be 1-d, got shape {m.shape}", param="m")
     T = m.shape[0]
     if K.shape != (T, T):
         raise DimensionMismatch(f"K must be {T}x{T}, got {K.shape}", param="K")
-    A = _as_sequence(A, T, "A")
-    Ksym = _symmetrize_from_lower(K)
-    return _validate_model(
-        m[:, None], Ksym[:, :, None, None], A[:, None, None], None
-    )
+    return build_vector_model(m, K, _as_sequence(A, T, "A"))
 
 
 def build_ar1(a, D, x0, A, T) -> GaussianModel:
@@ -331,30 +310,18 @@ def build_ar1(a, D, x0, A, T) -> GaussianModel:
     A = _as_sequence(A, T, "A")
     if np.any(D < 0):
         raise NegativeVariance("innovation variances D must be nonnegative", param="D")
-    k = np.zeros(T)
-    prev = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries fail check_psd below
-        for t in range(T):
-            prev = a[t] ** 2 * prev + D[t]
-            k[t] = prev
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries fail validation
         m = np.cumprod(a) * float(x0)
-        K = _lag_products(a) * k
-    return build_general(m, K, A)
+    return build_general(m, _ar1_table(a, D), A)
 
 
 def build_ma1(lam, A, T) -> GaussianModel:
     """First-order moving-average signal ``X_t = e_t + lam * e_{t-1}``."""
-    lam = float(lam)
-    A = _as_sequence(A, T, "A")
-    K = (1.0 + lam**2) * np.eye(T)
-    idx = np.arange(T - 1)
-    K[idx + 1, idx] = lam
-    K[idx, idx + 1] = lam
-    return build_general(np.zeros(T), K, A)
+    return build_general(np.zeros(T), _ma1_table(float(lam), T), A)
 
 
 def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
-    """Vector-valued model from block tables.
+    """Vector-valued model from block tables; every builder ends here.
 
     Args:
         m: (T, n) mean (a 1-d sequence is treated as n = 1).
@@ -376,24 +343,65 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
         K = K[:, :, None, None]
     if K.shape != (T, T, n, n):
         raise DimensionMismatch(f"K must have shape {(T, T, n, n)}, got {K.shape}", param="K")
-    # Mirror lower blocks: K[s, t] = K[t, s]' for s < t.
-    idx = np.arange(T)
-    Kt = K.transpose(1, 0, 3, 2)
-    Kfull = np.where((idx[:, None] > idx[None, :])[:, :, None, None], K, Kt)
-    Kfull[idx, idx] = (K[idx, idx] + Kt[idx, idx]) / 2.0
+    cov = _mirror_lower(K)
 
     A = np.asarray(A, dtype=float)
     if A.ndim == 1 and n == 1:
         A = A[:, None, None]
     if A.ndim != 3 or A.shape[0] != T or A.shape[2] != n:
         raise DimensionMismatch(f"gains must have shape (T, m, {n}), got {A.shape}", param="A")
+    m_obs = A.shape[1]
 
     C = None
     if K_Xeps is not None:
         C = np.asarray(K_Xeps, dtype=float)
-        if C.shape == (T, T) and n == 1 and A.shape[1] == 1:
+        if C.shape == (T, T) and n == 1 and m_obs == 1:
             C = C[:, :, None, None]
-    return _validate_model(m, Kfull, A, C)
+
+    idx = np.arange(T)
+    diag_vars = np.diagonal(cov[idx, idx], axis1=1, axis2=2)
+    if np.any(diag_vars < -PSD_TOL * max(float(diag_vars.max(initial=0.0)), 1.0)):
+        raise NotPositiveSemidefinite(
+            f"a diagonal block of cov has a negative variance ({float(diag_vars.min()):.3e})",
+            worst_eigenvalue=float(diag_vars.min()),
+        )
+    model = GaussianModel(mean=m, cov=cov, gains=A, cross_cov=C)
+    certified = _schur_certificate(model)
+    if not certified:
+        check_psd(model.flat_cov(), "signal covariance table")
+    if C is not None:
+        if C.shape != (T, T, n, m_obs):
+            raise DimensionMismatch(
+                f"cross_cov must have shape {(T, T, n, m_obs)}, got {C.shape}", param="K_Xeps"
+            )
+        upper = np.any(C != 0.0, axis=(2, 3)) & (idx[:, None] < idx[None, :])
+        if upper.any():
+            t, s = np.argwhere(upper)[0]  # row-major: the first (t, then s) pair
+            raise DimensionMismatch(
+                "cross_cov must be lower-triangular: noise at step "
+                f"{s + 1} may not correlate with the signal at earlier step {t + 1}",
+                param="K_Xeps",
+            )
+        if not certified:  # the (signal, noise) joint must itself be a covariance
+            check_psd(_joint_signal_noise_cov(model), "joint signal/noise covariance")
+    return model
+
+
+def _lagged_noise_model(K_signal, K_noise, alpha, beta, b) -> GaussianModel:
+    """Correlated vector model over the state (X_t, eps_{t-1}) observed as
+    Y_t = alpha_t X_t + beta eps_{t-1} + w_t, where eps_t = b eps_{t-1} + w_t: the signal
+    and lagged-noise tables (lower triangles) on the block diagonal, and the lagged-noise
+    state's covariance E eps_{t-1} w_s = b^(t-1-s) (s <= t-1) with the observation noise."""
+    T = len(alpha)
+    K = np.zeros((T, T, 2, 2))
+    K[:, :, 0, 0] = K_signal
+    K[:, :, 1, 1] = K_noise
+    A = np.zeros((T, 1, 2))
+    A[:, 0, 0] = alpha
+    A[:, 0, 1] = beta
+    C = np.zeros((T, T, 2, 1))
+    C[:, :, 1, 0] = np.tril(b ** np.abs(np.subtract.outer(np.arange(T), np.arange(T)) - 1), -1)
+    return build_vector_model(np.zeros((T, 2)), K, A, C)
 
 
 def build_ma1_observations(lam, alpha, beta, T) -> GaussianModel:
@@ -401,21 +409,13 @@ def build_ma1_observations(lam, alpha, beta, T) -> GaussianModel:
 
     The state is the pair (X_t, eps_{t-1}) where X_t = e_t + lam e_{t-1} and
     Y_t = alpha_t X_t + beta eps_{t-1} + eps_t, so the observation noise is
-    itself a first-order moving average. Returned as a correlated vector model.
+    itself a first-order moving average (the b = 0 case of ``build_ar1_noise``'s
+    noise, with eps_0 a unit-variance draw). Returned as a correlated vector model.
     """
     lam = float(lam)
     beta = float(beta)
     alpha = _as_sequence(alpha, T, "alpha")
-    idx, lag = np.arange(T), np.arange(1, T)
-    K = np.zeros((T, T, 2, 2))
-    K[idx, idx] = np.diag([1.0 + lam**2, 1.0])
-    K[lag, lag - 1, 0, 0] = lam
-    A = np.zeros((T, 1, 2))
-    A[:, 0, 0] = alpha
-    A[:, 0, 1] = beta
-    C = np.zeros((T, T, 2, 1))
-    C[lag, lag - 1, 1, 0] = 1.0  # the lagged-noise state component is eps_{t-1}
-    return build_vector_model(np.zeros((T, 2)), K, A, C)
+    return _lagged_noise_model(_ma1_table(lam, T), np.eye(T), alpha, beta, 0.0)
 
 
 def build_ar1_noise(a, b, alpha, beta, T) -> GaussianModel:
@@ -430,26 +430,12 @@ def build_ar1_noise(a, b, alpha, beta, T) -> GaussianModel:
     alpha = _as_sequence(alpha, T, "alpha")
     b = float(b)
     beta = float(beta)
-
-    k = np.zeros(T)
-    prev = 0.0
-    for t in range(T):
-        prev = a[t] ** 2 * prev + 1.0
-        k[t] = prev
     v = np.zeros(T + 1)  # v[t] = Var(eps_t), eps_0 = 0
     for t in range(1, T + 1):
         v[t] = b**2 * v[t - 1] + 1.0
-
-    lag = np.subtract.outer(np.arange(T), np.arange(T))  # t - s
-    K = np.zeros((T, T, 2, 2))
-    K[:, :, 0, 0] = _lag_products(a) * k
-    K[:, :, 1, 1] = np.tril(b ** np.abs(lag) * v[:T])  # Cov(eps_{t-1}, eps_{s-1})
-    A = np.zeros((T, 1, 2))
-    A[:, 0, 0] = alpha
-    A[:, 0, 1] = beta
-    C = np.zeros((T, T, 2, 1))
-    C[:, :, 1, 0] = np.tril(b ** np.abs(lag - 1), -1)  # E eps_{t-1} w_s, s <= t-1
-    return build_vector_model(np.zeros((T, 2)), K, A, C)
+    lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))  # |t - s|
+    noise = np.tril(b**lag * v[:T])  # Cov(eps_{t-1}, eps_{s-1})
+    return _lagged_noise_model(_ar1_table(a, np.ones(T)), noise, alpha, beta, b)
 
 
 def _joint_factor(model: GaussianModel) -> np.ndarray:

@@ -525,13 +525,18 @@ class BackwardRiccati:
     max_discrepancy: float
 
 
+def _backward_gamma(T: int, terminal: float) -> np.ndarray:
+    """(G(T,1), ..., G(T,T)) of G(T,t) = 1 + G(T,t+1)/(1+G(T,t+1)) from G(T,T) = terminal."""
+    g = np.full(T, float(terminal))
+    for t in range(T - 2, -1, -1):
+        g[t] = 1.0 + g[t + 1] / (1.0 + g[t + 1])
+    return g
+
+
 def backward_riccati(T: int) -> BackwardRiccati:
     if T < 1:
         raise DomainError("T must be at least 1")
-    g = np.zeros(T + 1)
-    for t in range(T - 1, 0, -1):
-        g[t] = 1.0 + g[t + 1] / (1.0 + g[t + 1])
-    rec = g[1 : T + 1]
+    rec = _backward_gamma(T, 0.0)
 
     s5 = np.sqrt(5.0)
     k = T - np.arange(1, T + 1)
@@ -547,11 +552,7 @@ def backward_riccati(T: int) -> BackwardRiccati:
 
 def _tilted_random_walk(T: int, terminal: float):
     """AR(1) model with a_t = D_t = 1/(1+G(T,t)) for a chosen terminal value of G."""
-    g = np.zeros(T + 1)
-    g[T] = terminal
-    for t in range(T - 1, 0, -1):
-        g[t] = 1.0 + g[t + 1] / (1.0 + g[t + 1])
-    coeff = 1.0 / (1.0 + g[1 : T + 1])
+    coeff = 1.0 / (1.0 + _backward_gamma(T, terminal))
     return build_ar1(coeff, coeff, 0.0, np.ones(T), T), coeff
 
 

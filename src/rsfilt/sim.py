@@ -52,9 +52,9 @@ class ExperimentConfig:
     criterion: str = "exponential"  # 'exponential' | 'mean_square'
     batch_size: int = 1 << 15
 
-    def __post_init__(self):
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be at least 1", field="n_paths")
+    def __post_init__(self):  # n_paths and seed follow the config rules, integral floats read as int
+        object.__setattr__(self, "n_paths", _integer(self.n_paths, "n_paths", 1))
+        object.__setattr__(self, "seed", seed_from_config(self.seed))
         size = self.batch_size
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
             raise ConfigError(f"batch_size must be an integer of at least 1, got {size!r}", field="batch_size")

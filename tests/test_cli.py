@@ -235,7 +235,8 @@ def _with(section, **entries):
 def test_bad_risk_and_horizon_rejected(cfg, flags, field, verb, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
-    assert run([verb, "--config", str(p), "--paths", "100", *flags]) == 1
+    paths = ["--paths", "100"] if verb == "simulate" else []
+    assert run([verb, "--config", str(p), *paths, *flags]) == 1
     out = capsys.readouterr()
     assert f"config error at {field}:" in out.err
     assert "NaN" not in out.out and "Traceback" not in out.err
@@ -252,7 +253,8 @@ def test_seed_outside_unsigned_64_bit_rejected(seed, where, verb, tmp_path, caps
         cfg["seed"] = seed
     p = tmp_path / "seed.json"
     p.write_text(json.dumps(cfg))
-    assert run([verb, "--config", str(p), "--paths", "100", *flags]) == 1
+    paths = ["--paths", "100"] if verb in ("simulate", "compare") else []
+    assert run([verb, "--config", str(p), *paths, *flags]) == 1
     assert "config error at seed:" in capsys.readouterr().err
 
 
@@ -477,7 +479,8 @@ def test_correlated_scalar_model_verbs(tmp_path, capsys):
 ])
 def test_unwritable_output_names_its_flag(argv, field, config_path, tmp_path, capsys):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert run([*argv, "--config", config_path, "--paths", "100"]) == 1
+    paths = ["--paths", "100"] if argv[0] == "simulate" else []
+    assert run([*argv, "--config", config_path, *paths]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error at {field}: cannot write ") and err.count("\n") == 1, err
 
@@ -604,3 +607,52 @@ def test_shared_parser_leaks_no_state(tmp_path):
     assert [r[0] for r in shared[:-1]] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0]
     parsed = [vars(cli._parser().parse_args(argv)) for argv in (["example-5-2", "--T", "3"], ["example-5-2"])]
     assert parsed[1]["T"] == 10 and parsed[0]["T"] == 3
+
+
+_BIG_DIAGONAL_BLOCKS = np.zeros((2, 2, 2, 2))
+_BIG_DIAGONAL_BLOCKS[0, 0] = _BIG_DIAGONAL_BLOCKS[1, 1] = np.eye(2)
+_BIG_DIAGONAL_BLOCKS[0, 0, 0, 0] = 1.7e308
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "vector", "m": np.zeros((2, 2)).tolist(), "K": _BIG_DIAGONAL_BLOCKS.tolist(), "A": np.ones((2, 1, 2)).tolist()},
+    {"kind": "ma1", "lambda": 1e200, "A": 1.0, "T": 3},
+    {"kind": "ma1_observations", "lambda": 1e200, "alpha": 1.0, "beta": 0.5, "T": 3},
+    {"kind": "ar1_noise", "a": 1e200, "b": 0.5, "alpha": 1.0, "beta": 0.5, "T": 3},
+], ids=["vector", "ma1", "ma1_observations", "ar1_noise"])
+def test_table_that_overflows_is_one_config_error(model, tmp_path, capsys):
+    """A finite parameter whose table overflows double precision writes one stderr line (no warning, no traceback)."""
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"model": model, "risk": {"mu": -1.0, "Q": 1.0}}))
+    assert run(["validate", "--config", str(p)]) == 1
+    assert capsys.readouterr() == (
+        "", "config error at model: signal covariance table has entries that are not finite in double precision\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["example-5-2", "--seed", "1"], "--seed"),
+    (["example-5-2", "--mu", "-1"], "--mu"),
+    (["example-5-2", "--paths", "10"], "--paths"),
+    (["validate", "--paths", "10"], "--paths"),
+    (["filter", "--paths", "10"], "--paths"),
+    (["risk", "--paths", "10"], "--paths"),
+    (["cm", "--paths", "10"], "--paths"),
+])
+def test_flags_a_verb_ignores_are_not_accepted(argv, flag, config_path, capsys):
+    source = [] if argv[0] == "example-5-2" else ["--config", config_path]
+    assert run([*argv, *source]) == 1
+    assert capsys.readouterr().err == f"config error at {flag}: unrecognized arguments: {' '.join(argv[1:])}\n"
+
+
+def test_integral_float_entries_write_the_integer_bytes(tmp_path, capsys):
+    """T and paths given as integral floats are read as the integers they equal."""
+    outputs = []
+    for T, paths in ((25, 100), (25.0, 100.0)):
+        cfg = {"model": {"kind": "ar1", "a": 0.9, "D": 1.0, "x0": 0.5, "A": 1.0, "T": T},
+               "risk": {"mu": -0.5, "Q": 1.0}, "seed": 4, "paths": paths}
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", str(p)]) == 0
+        outputs.append(capsys.readouterr())
+    assert '"T": 25.0' in p.read_text() and '"n_paths": 100' in outputs[1].out
+    assert outputs[0] == outputs[1]

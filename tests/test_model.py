@@ -42,17 +42,17 @@ class TestBuildGeneral:
             K[rng.random((T, T)) < 0.3] = -0.0
             K.flat[rng.integers(T * T, size=3)] = [5e-324, -5e-324, 8e307]
             L = np.tril(K)
-            assert rf.model._symmetrize_from_lower(K).tobytes() == (L + L.T - np.diag(np.diag(K))).tobytes()
+            assert rf.model._mirror_lower(K[:, :, None, None]).tobytes() == (L + L.T - np.diag(np.diag(K))).tobytes()
 
     def test_mirror_holds_at_most_three_tables(self, rng):
         K = rng.normal(size=(800, 800))
         tracemalloc.start()
         try:
-            rf.model._symmetrize_from_lower(K)
+            rf.model._mirror_lower(K[:, :, None, None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * K.nbytes  # tril(K), its strict-lower copy and a boolean mask: 2.1 tables
+        assert peak <= 2.5 * K.nbytes  # one table and a boolean mask: 1.1 tables
 
     @pytest.mark.parametrize("d, message", [
         (1.7e308, "signal covariance table has entries that are not finite in double precision"),
@@ -60,7 +60,7 @@ class TestBuildGeneral:
         (np.inf, "signal covariance table has entries that are not finite in double precision"),
     ])
     def test_diagonal_that_doubles_past_dbl_max(self, d, message):
-        # The mirror forms the diagonal as (d + d) - d, so validation sees +-inf or nan, without a warning.
+        # The mirror forms the diagonal as (d + d) / 2, so validation sees +-inf, without a warning.
         with pytest.raises(NotPositiveSemidefinite) as exc:
             rf.build_general([0.0, 0.0], [[d, 0.0], [0.5, 1.0]], [1.0, 1.0])
         assert str(exc.value) == message
@@ -177,6 +177,27 @@ class TestBuildVectorModel:
         C[0, 4, 0, 0] = 0.1  # first in (signal step, then noise step) order
         with pytest.raises(DimensionMismatch, match="noise at step 5 may not correlate with the signal at earlier step 1"):
             rf.build_vector_model(np.zeros(T), np.eye(T), np.ones(T), C)
+
+    @pytest.mark.parametrize("d, message", [
+        (1.7e308, "signal covariance table has entries that are not finite in double precision"),
+        (-1.7e308, "a diagonal block of cov has a negative variance (-inf)"),
+        (np.inf, "signal covariance table has entries that are not finite in double precision"),
+    ])
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(1, 1)], [(0, 1), (1, 0)]])
+    def test_diagonal_block_that_doubles_past_dbl_max(self, d, message, entries):
+        # (B + B') / 2 of a diagonal block reads +-inf past DBL_MAX / 2, without a warning; an
+        # off-diagonal pair of a block is not a variance, so it fails as a non-finite entry.
+        K = np.zeros((2, 2, 2, 2))
+        K[0, 0] = K[1, 1] = np.eye(2)
+        for i, j in entries:
+            K[1, 1, i, j] = d
+        if len(entries) == 2:
+            message = "signal covariance table has entries that are not finite in double precision"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveSemidefinite) as exc:
+                rf.build_vector_model(np.zeros((2, 2)), K, np.ones((2, 1, 2)))
+        assert str(exc.value) == message
 
     def test_upper_blocks_mirror_lower_blocks(self, rng):
         T, n = 30, 2

@@ -221,6 +221,27 @@ class TestExperimentConfig:
             ar1_config(batch_size=batch_size)
         assert caught.value.field == "batch_size"
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 2.5), ("n_paths", "10"), ("n_paths", 0), ("n_paths", True), ("n_paths", None),
+        ("seed", -1), ("seed", 2.5), ("seed", 2**64), ("seed", "7"), ("seed", None),
+    ])
+    def test_paths_and_seed_follow_the_config_rules(self, field, value):
+        # Only constructed: no estimate may run with a path count or seed that a config would refuse.
+        with pytest.raises(ConfigError) as caught:
+            ar1_config(**{field: value})
+        assert caught.value.field == field
+
+    def test_integral_float_paths_and_seed_read_as_integers(self):
+        config = ar1_config(n_paths=1000.0, seed=5.0)
+        assert (type(config.n_paths), type(config.seed)) == (int, int)
+        assert rf.estimate_risk(config) == rf.estimate_risk(ar1_config(n_paths=1000, seed=5))
+        assert ar1_config(seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_custom_kind_needs_an_affine_filter(self):
+        with pytest.raises(ConfigError) as caught:
+            ar1_config(kind="custom")
+        assert (caught.value.field, str(caught.value)) == ("filter", "custom filter requires coefficients")
+
     def test_custom_filter_requires_coefficients(self):
         cfg = {
             "model": {"kind": "ma1", "lambda": 0.2, "A": 1.0, "T": 2},
