@@ -60,18 +60,19 @@ def check_psd(mat, what):
     is far below the 0.5 PSD_TOL scale margin. Without a certificate the eigenvalues decide."""
     finite = np.isfinite(mat).all(axis=(-2, -1))
     sym = np.where(finite[..., None, None], mat, 0.0)
-    sym = (sym + np.swapaxes(sym, -1, -2)) / 2.0
+    sym *= 0.5  # halved before the sum, in the copy this check owns: a finite table cannot overflow
+    sym = sym + np.swapaxes(sym, -1, -2)
     scale = np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
     diag = np.einsum("...ii->...i", sym)  # a view: shifted in place, to hold one table fewer
     saved = diag.copy()
     diag += 0.5 * PSD_TOL * scale[..., None]
     try:
         np.linalg.cholesky(sym)
-        worst = 0.0 * scale
+        worst = np.zeros_like(scale)
     except np.linalg.LinAlgError:
         diag[...] = saved
         worst = np.linalg.eigvalsh(sym)[..., 0]
-    for t in np.flatnonzero(~finite | (worst < -PSD_TOL * scale))[:1]:
+    for t in np.flatnonzero(~finite | ~(worst >= -PSD_TOL * scale))[:1]:  # a nan worst fails
         name = what.format(t + 1)
         if not finite.flat[t]:
             raise NotPositiveSemidefinite(f"{name} has entries that are not finite in double precision")

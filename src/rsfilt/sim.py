@@ -9,15 +9,18 @@ runs), which draws it and applies every residual map over tiles of paths, a
 chunk of a few thousand paths at a time: a worker holds a chunk of z and of
 the errors plus n weights per filter per batch, and returns only the batch's
 partial sums; the calling thread folds them in batch order, so no number
-depends on the threads. Partial sums are combined with ``math.fsum`` so
-results are reproducible independent of the batching. Filter comparisons
-reuse the same paths (common random numbers).
+depends on the threads. A batch's values are reduced in place in those n
+weights, and each of its sums is exact: per-binade partials, formed a chunk
+of rows at a time, are rounded once with ``math.fsum``, so every sum equals
+``math.fsum`` of the batch's values whatever the chunk size or thread count.
+Filter comparisons reuse the same paths (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +159,39 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _exact_sum(x: np.ndarray, scratch: np.ndarray, square: bool = False) -> float:
+    """``math.fsum`` of the values of x, or of their squares, bit for bit, without a per-value list.
+
+    x is walked in blocks of len(scratch) values, squared into scratch when asked. Each value
+    splits exactly into the float of its high 26 significand bits and the remainder, and
+    ``np.bincount`` sums each half per binary exponent: for up to 2**26 values a binade's sum
+    stays a multiple of its unit below 2**53 units, so every partial is exact. One ``math.fsum``
+    over the nonzero partials, a few per binade and block, rounds the exact total once, as
+    ``math.fsum`` of the values does (a small superaccumulator, Neal 2015, arXiv:1505.05571).
+    Values that are not finite, or so large that partials could overflow (max |value| over
+    DBL_MAX / (4 len x)), take ``math.fsum`` of their list, which defines the result there.
+    """
+    top = max(float(x.max()), -float(x.min()))  # nan if x holds a nan
+    if square:
+        top *= top
+    if not top <= sys.float_info.max / (4 * len(x)):
+        return math.fsum((x * x if square else x).tolist())
+    partials = []
+    step = min(len(scratch), 1 << 26)
+    for start in range(0, len(x), step):
+        v = x[start: start + step]
+        if square:
+            v = np.square(v, out=scratch[: len(v)])
+        bits = v.view(np.int64)
+        binade = bits >> 52
+        binade &= 0x7FF
+        high = (bits & -(1 << 26)).view(np.float64)
+        # The exact remainder v - high overwrites high once high's sums are taken.
+        for sums in (np.bincount(binade, high), np.bincount(binade, np.subtract(v, high, out=high))):
+            partials += sums[sums != 0].tolist()
+    return math.fsum(partials)
+
+
 def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk: RiskSpec, exponential: bool,
            tile: int):
     """Draw a batch of n paths into z one chunk of its rows at a time, and reduce them to partial sums.
@@ -165,19 +201,26 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
     continues the batch's one normal stream and its products run stacked over
     tiles of ``tile`` paths, a part tile as one more product; z's rows are whole
     tiles or the whole batch, so no number depends on the chunk size. e is scratch.
+
+    A worker holds z and e and one n-float array u per filter. Each chunk's
+    weighted squared errors land in u, scaled there to the exponent; then the
+    shift, exp and mu scaling, and for two filters the paired difference (in the
+    first filter's u), are formed in place, and every sum is ``_exact_sum`` over
+    blocks of a chunk's rows, squares in e's memory: the reduction allocates
+    nothing of batch size.
     """
     draw = np.random.Generator(np.random.Philox(seed)).standard_normal
     width = z.shape[1]
     log_space = exponential and risk.mu > 0
     us = [np.empty(n) for _ in maps]
-    parts, capped, scaled = [], [], []
+    capped = [0] * len(maps)
     # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, len(z)):
             zc, ec = z[: n - start], e[: n - start]  # the buffers, or the batch's last rows
             draw(out=zc)
             full = len(zc) - len(zc) % tile
-            for (r, R), u in zip(maps, us):
+            for i, ((r, R), u) in enumerate(zip(maps, us)):
                 uc = u[start: start + len(zc)]
                 np.matmul(zc[:full].reshape(-1, tile, width), R.T, out=ec[:full].reshape(-1, tile, len(r)))
                 np.matmul(zc[full:], R.T, out=ec[full:])
@@ -185,23 +228,28 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
                 np.square(ec, out=ec)
                 np.matmul(ec[:full].reshape(-1, tile, len(r)), Q, out=uc[:full].reshape(-1, tile))
                 np.matmul(ec[full:], Q, out=uc[full:])
+                if exponential:
+                    uc *= 0.5 * risk.mu  # the path's exponent
+                    if log_space:
+                        capped[i] += int(np.count_nonzero(uc > EXP_CAP))
+        scratch = e.reshape(-1)[: len(e)]
+        parts = []
         for u in us:
-            shift, over = 0.0, 0
+            shift = float(np.max(u)) if log_space else 0.0
             if exponential:
-                expo = 0.5 * risk.mu * u
-                if log_space:
-                    over = int(np.count_nonzero(expo > EXP_CAP))
-                    shift = float(np.max(expo))
-                u = risk.mu * np.exp(expo - shift)
-            parts.append((shift, math.fsum(u.tolist()), math.fsum((u * u).tolist())))
-            capped.append(over)
-            scaled.append((u, shift))
+                u -= shift
+                np.exp(u, out=u)
+                u *= risk.mu
+            parts.append((shift, _exact_sum(u, scratch), _exact_sum(u, scratch, square=True)))
         diff = None
         if len(maps) == 2:
-            (ua, sa), (ub, sb) = scaled
+            ua, ub = us
+            sa, sb = (shift for shift, _, _ in parts)
             top = max(sa, sb)
-            d = ua * math.exp(sa - top) - ub * math.exp(sb - top)
-            diff = (top, math.fsum(d.tolist()), math.fsum((d * d).tolist()))
+            ua *= math.exp(sa - top)
+            ub *= math.exp(sb - top)
+            ua -= ub
+            diff = (top, _exact_sum(ua, scratch), _exact_sum(ua, scratch, square=True))
     return parts, capped, diff
 
 

@@ -136,7 +136,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         elif denom <= FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DENOM
         if not feasible:
-            gam[:, s + 1 :] = 0.0
+            gam[:, s + 1 : q] = 0.0  # later panels are still the zeros of np.zeros
             break
         w[s] = Sf[s] / denom
     return VolterraSolution(

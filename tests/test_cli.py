@@ -629,6 +629,18 @@ def test_table_that_overflows_is_one_config_error(model, tmp_path, capsys):
         "", "config error at model: signal covariance table has entries that are not finite in double precision\n")
 
 
+@pytest.mark.parametrize("verb", ["validate", "risk"])
+def test_mirrored_entry_past_half_dbl_max_is_not_psd(verb, tmp_path, capsys):
+    """A finite table whose symmetrized sum would overflow is refused with its worst eigenvalue (no warning)."""
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"model": {"kind": "general", "m": [0.0, 0.0], "K": [[1.0, 0.0], [1.7e308, 1.0]],
+                                       "A": [1.0, 1.0]}, "risk": {"mu": -1.0, "Q": 1.0}}))
+    assert run([verb, "--config", str(p)]) == 1
+    assert capsys.readouterr() == (
+        "", "config error at model: signal covariance table is not positive semidefinite (worst eigenvalue "
+            "-1.700e+308)\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["example-5-2", "--seed", "1"], "--seed"),
     (["example-5-2", "--mu", "-1"], "--mu"),

@@ -316,6 +316,18 @@ class TestCheckPsd:
         rf.model.check_psd(np.outer(v, v), "rank one")
         rf.model.check_psd(np.zeros((4, 4)), "zero")
 
+    def test_mirrored_entries_past_half_dbl_max_fail(self):
+        # (K + K') / 2 overflowed to inf here, and the inf table passed; halves first sum to -1.7e308 exactly.
+        mat = np.array([[1.0, 1.7e308], [1.7e308, 1.0]])
+        with pytest.raises(NotPositiveSemidefinite) as info:
+            rf.model.check_psd(mat, "table")
+        assert info.value.worst_eigenvalue == -1.7e308
+
+    def test_nan_worst_eigenvalue_fails(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+        with pytest.raises(NotPositiveSemidefinite, match=r"^table is not positive semidefinite \(worst eigenvalue nan\)$"):
+            rf.model.check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), "table")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_table_fails(self, bad):
         mat = np.eye(3)

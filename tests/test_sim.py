@@ -8,6 +8,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import rsfilt as rf
@@ -534,6 +536,78 @@ class TestChunkedBatches:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def _outcome(total):
+    """repr of total() (repr tells -0.0 from 0.0), or of the error it raises."""
+    try:
+        with np.errstate(over="ignore"):
+            return repr(total())
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+
+
+def assert_is_fsum(values, block, square):
+    expected = _outcome(lambda: math.fsum((values * values if square else values).tolist()))
+    assert _outcome(lambda: sim._exact_sum(values, np.empty(block), square)) == expected
+
+
+_N = 2048
+_WEIGHTS = -0.7 * np.exp(np.random.default_rng(71).normal(scale=20.0, size=_N))  # mu exp(...), mu < 0
+
+
+class TestExactSum:
+    """sim._exact_sum is math.fsum of the list, bit for bit, for every block size."""
+
+    @given(
+        values=hnp.arrays(np.float64, st.integers(1, 200), elements=st.one_of(
+            st.floats(-1e3, 1e3),
+            st.floats(width=64),  # subnormals, +-0.0, 1e+-300, nan, +-inf, near DBL_MAX
+            st.sampled_from([0.0, -0.0, 5e-324, -2.0**-1022, 1.7e308, -1e300, 1e-300]),
+        )),
+        block=st.integers(1, 64),
+        square=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_arrays(self, values, block, square):
+        assert_is_fsum(values, block, square)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.full(100, -0.0), id="all-negative-zero"),
+        pytest.param(np.array([-0.0, 0.0, -0.0]), id="mixed-zeros"),
+        pytest.param(np.array([1.0, -1.0, 2.0**-60, -(2.0**-60)]), id="cancelling"),
+        pytest.param(np.random.default_rng(72).integers(-(1 << 52), 1 << 52, _N) * 5e-324, id="subnormals"),
+        pytest.param(np.random.default_rng(73).normal(size=_N) * 10.0 ** np.linspace(-300, 300, _N), id="1e+-300"),
+        pytest.param(_WEIGHTS, id="mu-exp-weights"),
+        pytest.param(np.exp(np.random.default_rng(74).normal(size=1 << 15)), id="one-batch-of-weights"),
+        pytest.param(np.concatenate([_WEIGHTS, [np.nan]]), id="nan"),
+        pytest.param(np.concatenate([_WEIGHTS, [np.inf]]), id="inf"),
+        pytest.param(np.array([np.inf, -np.inf]), id="inf-minus-inf"),
+        pytest.param(np.full(8, 1.7e308), id="intermediate-overflow"),
+        pytest.param(np.array([np.finfo(float).max / 8.0, 1.0, -1e-300]), id="near-overflow"),
+    ])
+    @pytest.mark.parametrize("block", [1, 3, 209, 3344, 1 << 16])
+    @pytest.mark.parametrize("square", [False, True])
+    def test_edge_arrays(self, values, block, square):
+        assert_is_fsum(values, block, square)
+
+
+@pytest.mark.parametrize("n_paths", [pytest.param(4 << 15, id="4-batches"), pytest.param(1 << 15, id="1-batch")])
+def test_reduction_holds_no_batch_sized_temporary(n_paths):
+    # A worker may hold its chunk-sized z and e and one n-float array per filter, plus 10% for the
+    # rest; the out-of-place reduction's batch-sized temporaries made this 4.9 and 9.6 MB on two workers.
+    T, width = 25, 50
+    leg, rn = (ar1_config(T=T, mu=0.2, n_paths=n_paths, seed=67, kind=kind) for kind in ("leg", "risk_neutral"))
+    chunk = min(sim.CHUNK_TILES * max(1, sim.TILE_MADDS // (T * width)), 1 << 15)
+    workers = min(n_paths >> 15, sim._available_cpus(), sim.DRAW_WORKERS)
+    rf.compare_filters(leg, rn)  # imports and first-use set-up outside the trace
+    tracemalloc.start()
+    try:
+        rf.compare_filters(leg, rn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * workers * 8 * (chunk * (width + T) + 2 * (1 << 15))
 
 
 @pytest.mark.parametrize("compare, workers", [
