@@ -78,10 +78,18 @@ def _lower_solve(gbar, w, d, R, B):
 
     This is the lower-triangular system (diag(d) + Gs diag(w)) X = R + Gs B,
     Gs the strict lower triangle of gbar. Rows of gbar are read one at a time,
-    so no (T, T) matrix is formed. R and B are (T,) or (T, k).
+    so no (T, T) matrix is formed. R and B are (T,) or (T, k). One path with
+    no zero d_t runs its scalar steps in Python floats, which round as numpy's
+    do; only its dot product per step stays a numpy call.
     """
     X = np.array(R, dtype=float, order="C")
     E = np.array(B, dtype=float, order="C")  # rows l < t hold B_l - w_l X_l
+    if X.ndim == 1 and np.all(d):  # a zero d_t divides as numpy does, below
+        x, b = X.tolist(), E.tolist()
+        for t, (wt, dt) in enumerate(zip(w.tolist(), d.tolist())):
+            x[t] = (x[t] + float(gbar[t, :t] @ E[:t])) / dt
+            E[t] = b[t] - wt * x[t]
+        return np.array(x)
     for t in range(len(d)):
         X[t] = (X[t] + gbar[t, :t] @ E[:t]) / d[t]
         E[t] -= w[t] * X[t]

@@ -59,8 +59,9 @@ def check_psd(mat, what):
     certifies the floor: its backward error, at most (N + 1) u trace (about 1e-13 scale at N = 800),
     is far below the 0.5 PSD_TOL scale margin. Without a certificate the eigenvalues decide."""
     finite = np.isfinite(mat).all(axis=(-2, -1))
-    sym = np.where(finite[..., None, None], mat, 0.0)
-    sym *= 0.5  # halved before the sum, in the copy this check owns: a finite table cannot overflow
+    # Halved before the sum, so a finite table cannot overflow. A block that is not finite reads
+    # zero here and fails below.
+    sym = 0.5 * (mat if finite.all() else np.where(finite[..., None, None], mat, 0.0))
     sym = sym + np.swapaxes(sym, -1, -2)
     scale = np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
     diag = np.einsum("...ii->...i", sym)  # a view: shifted in place, to hold one table fewer
@@ -213,7 +214,7 @@ class Trajectory:
 def _schur_certificate(model: GaussianModel) -> bool:
     """Whether one Cholesky factorization passes both covariance checks of a correlated model.
 
-    K is the symmetrized flat signal table, C the flat cross-covariance and s = 0.5 PSD_TOL
+    K is the flat signal table, exactly symmetric, C the flat cross-covariance and s = 0.5 PSD_TOL
     max(tr K, 1). Cholesky of K - CC' + sI succeeds only if K - CC' has no eigenvalue below -s
     minus its backward error, at most (N + 1) u tr(K - CC' + sI), far below the other half of the
     tolerance, as in ``check_psd``. Then K, which is at least K - CC', passes the signal-table
@@ -230,11 +231,11 @@ def _schur_certificate(model: GaussianModel) -> bool:
         return False
     K, Cf = model.flat_cov(), model.flat_cross()
     with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
-        S = K + K.T
-        S *= 0.5
-        shift = 0.5 * PSD_TOL * max(float(np.trace(S)), 1.0)
-        S -= Cf @ Cf.T
+        shift = 0.5 * PSD_TOL * max(float(np.trace(K)), 1.0)
+        S = Cf @ Cf.T
+        np.subtract(K, S, out=S)  # K may be a view of the model's table
         S[np.diag_indices_from(S)] += shift
+    del K, Cf  # released before the Cholesky factor
     if not np.isfinite(S).all():
         return False
     try:

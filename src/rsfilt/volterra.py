@@ -12,7 +12,7 @@ prediction-error covariances, and for mu < 0 the recursion is always feasible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,31 +34,53 @@ _UPPER = ~np.tri(PANEL, dtype=bool)  # strict upper triangle of a panel's diagon
 OVERFLOW = "overflows double precision"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VolterraSolution:
     """Solution table of the covariance recursion.
 
     ``gamma_bar`` is (T, T) in the scalar case or (T, T, n, n) blockwise; only
     entries with t >= s are meaningful. ``first_violation`` is the 1-based
     step at which feasibility first failed (columns from there on are zero).
+
+    A solve that stops at ``first_violation = k`` stores only the k columns
+    its recursion reached, (T, k) or (T, k, n, n); the constructor accepts
+    such leading columns as ``gamma_bar`` too. Each read of an infeasible
+    solution's ``gamma_bar`` then builds a fresh zero-padded table, while
+    ``horizon`` and ``diag`` read the stored columns.
     """
 
-    gamma_bar: np.ndarray
+    _columns: np.ndarray
     S: np.ndarray
     mu: float
     feasible: bool
-    first_violation: int | None = None
-    violated_clause: str | None = None
+    first_violation: int | None
+    violated_clause: str | None
+
+    def __init__(self, gamma_bar, S, mu, feasible, first_violation=None, violated_clause=None):
+        for f, value in zip(fields(self), (gamma_bar, S, mu, feasible, first_violation, violated_clause)):
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def gamma_bar(self) -> np.ndarray:
+        cols = self._columns
+        T, k = cols.shape[:2]
+        if k == T:
+            return cols
+        table = np.zeros((T, T) + cols.shape[2:])
+        table[:, :k] = cols
+        return table
 
     @property
     def horizon(self) -> int:
-        return self.gamma_bar.shape[0]
+        return self._columns.shape[0]
 
     @property
     def diag(self) -> np.ndarray:
-        T = self.horizon
-        idx = np.arange(T)
-        return self.gamma_bar[idx, idx]
+        cols = self._columns
+        idx = np.arange(cols.shape[1])
+        out = np.zeros((self.horizon,) + cols.shape[2:])
+        out[idx] = cols[idx, idx]
+        return out
 
     def require_feasible(self) -> "VolterraSolution":
         if not self.feasible:
@@ -99,7 +121,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     from earlier panels, for all t, are one matrix product; its own columns are
     then finished and checked step by step, one matrix-vector product each. On
     the first step where gbar_t < -tol or 1 + S_t gbar_t <= tol the solution is
-    marked infeasible and the remaining columns are left zero.
+    marked infeasible and only the columns through it are kept.
     """
     model._require_scalar()
     if model.cross_cov is not None:
@@ -136,7 +158,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         elif denom <= FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DENOM
         if not feasible:
-            gam[:, s + 1 : q] = 0.0  # later panels are still the zeros of np.zeros
+            gam = gam[:, : s + 1].copy()  # the columns reached; the working table is dropped
             break
         w[s] = Sf[s] / denom
     return VolterraSolution(
@@ -207,13 +229,13 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
             if Vinv is None or len(gs) == PANEL or s == T - 1:
                 violation, clause = _check_panel(first, np.array(gs), Vs, r[first : s + 1], negative[first : s + 1])
                 if violation:
-                    gam[:, violation * n :] = 0.0
                     break
                 first, gs, Vs = s + 1, [], []
 
-    del U, W, C  # released before the transposed copy of the table
-    gam = np.ascontiguousarray(gam.reshape(T, n, T, n).transpose(0, 2, 1, 3))
-    gam[~np.tri(T, dtype=bool)] = 0.0
+    del U, W, C  # released before the transposed copy of the columns reached
+    k = violation or T
+    gam = np.ascontiguousarray(gam[:, : k * n].reshape(T, n, k, n).transpose(0, 2, 1, 3))
+    gam[~np.tri(T, k, dtype=bool)] = 0.0
     return VolterraSolution(gamma_bar=gam, S=S, mu=risk.mu, feasible=violation is None,
                             first_violation=violation, violated_clause=clause)
 

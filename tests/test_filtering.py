@@ -171,6 +171,36 @@ def test_one_path_matches_its_row_of_a_batch(rng):
             assert_allclose(got, want[row], rtol=1e-14, atol=1e-14 * np.max(np.abs(want[row])))
 
 
+def numpy_scalar_lower_solve(gbar, w, d, R, B):
+    """The one-path loop in numpy scalars that the Python-float steps replaced, kept as their reference."""
+    X = np.array(R, dtype=float)
+    E = np.array(B, dtype=float)
+    for t in range(len(d)):
+        X[t] = (X[t] + gbar[t, :t] @ E[:t]) / d[t]
+        E[t] -= w[t] * X[t]
+    return X
+
+
+@pytest.mark.parametrize("T", [1, 2, 33, 800])
+@pytest.mark.parametrize("edge", ["none", "signed zeros and subnormals", "overflow", "zero d"])
+def test_one_path_python_floats_match_numpy_scalars(rng, T, edge):
+    gbar = np.tril(rng.normal(size=(T, T))) * 0.1
+    w, d, R, B = rng.uniform(-1.5, 1.5, T), rng.uniform(0.5, 2.0, T), rng.normal(size=T), rng.normal(size=T)
+    if edge == "signed zeros and subnormals":
+        R[::2], B[1::3], gbar[T // 2 :, 0] = -0.0, 5e-324, -0.0
+    elif edge == "overflow":
+        R[0], w[T // 2] = 1e308, -1e308
+    elif edge == "zero d":
+        d[T // 2] = 0.0
+    with np.errstate(all="ignore"):
+        want = numpy_scalar_lower_solve(gbar, w, d, R, B)
+        got = rf.filtering._lower_solve(gbar, w, d, R, B)
+    if edge in ("none", "signed zeros and subnormals"):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestOptimalRisk:
     def test_mu_zero_errors(self, rng):
         model = random_scalar_model(rng, 3)

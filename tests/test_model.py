@@ -418,6 +418,20 @@ class TestSchurCertificate:
         got = self.same_verdict(monkeypatch, *_with_schur_floor(rng, factor, off_noise=True))
         assert (got[1] or "ok").startswith("ok" if factor > -1 else "signal covariance table is not positive")
 
+    def test_traced_peak_two_and_a_half_tables(self, rng):
+        # K's flat copy, C (half a table at m = 1) and the one working buffer; then that buffer and
+        # its Cholesky factor.
+        K, C = _with_schur_floor(rng, 0.5, T=400)
+        model = _build_correlated(K, C)
+        assert rf.model._schur_certificate(model)
+        tracemalloc.start()
+        try:
+            rf.model._schur_certificate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * K.nbytes
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["K", "C"])
     def test_non_finite_entries(self, monkeypatch, rng, bad, where):

@@ -308,6 +308,81 @@ class TestPanelKernel:
             assert exc.value.step == step
 
 
+def held_after(solve, model, risk):
+    """The solution and the traced bytes still held once ``solve`` has returned."""
+    solve(model, risk)  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        sol = solve(model, risk)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return sol, held
+
+
+class TestInfeasibleColumns:
+    """An infeasible solve keeps the k columns its recursion reached, and S: (k + 1) T floats, or
+    (k + 1) T n^2 blockwise, against a T^2-float table. Its ``gamma_bar`` reads as the padded table."""
+
+    HEADERS = 4096  # array and solution headers, and Python's free list of the floats the solve used
+
+    @staticmethod
+    def _spiked(T, step):
+        # A weight spike at one step makes 1 + S gbar negative there and nowhere before.
+        Q = np.full(T, 0.1)
+        Q[step - 1] = 1e4
+        return rf.RiskSpec(mu=1.0, Q=Q)
+
+    @pytest.mark.parametrize("step", [1, 20])
+    def test_scalar_solve_holds_the_columns_reached(self, step):
+        T = 800
+        model, _, _ = TestPanelKernel._model(T)
+        sol, held = held_after(rf.solve_volterra, model, self._spiked(T, step))
+        assert verdict(sol) == (False, step, CLAUSE_DENOM)
+        assert held <= (step + 1) * T * 8 + self.HEADERS
+
+    @pytest.mark.parametrize("step", [1, 45])
+    def test_correlated_solve_holds_the_columns_reached(self, step):
+        T, n = 200, 2
+        K = np.eye(T)[:, :, None, None] * np.eye(n) + 0.3
+        model = rf.build_vector_model(np.zeros((T, n)), K, np.ones((T, 1, n)))
+        Q = np.tile(0.05 * np.eye(n), (T, 1, 1))
+        Q[step - 1] = 50.0 * np.eye(n)
+        sol, held = held_after(rf.solve_volterra_correlated, model, rf.RiskSpec(mu=1.0, Q=Q))
+        assert verdict(sol) == (False, step, CLAUSE_DENOM)
+        assert held <= (step + 1) * T * n * n * 8 + self.HEADERS
+        assert sol.gamma_bar.shape == (T, T, n, n) and not np.any(sol.gamma_bar[:, step:])
+        assert sol.diag.shape == (T, n, n) and not np.any(sol.diag[step:]) and np.all(sol.diag[:step])
+
+    def test_mu_scan_holds_a_table_per_feasible_point(self):
+        T = 400
+        model, _, Q = TestPanelKernel._model(T)
+        risks = [rf.RiskSpec(mu=mu, Q=Q) for mu in (-2.0, -0.5, 0.1, 0.5, 1.2, 2.0)]
+        [rf.solve_volterra(model, risk) for risk in risks]
+        tracemalloc.start()
+        try:
+            sols = [rf.solve_volterra(model, risk) for risk in risks]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        feasible = sum(sol.feasible for sol in sols)
+        assert 0 < feasible < len(sols)
+        assert held <= (feasible + 0.1) * T * T * 8
+
+    @pytest.mark.parametrize("step", [1, 2, PANEL - 1, PANEL])
+    @pytest.mark.parametrize("T", [PANEL, 100, 800])
+    def test_padded_reads_match_legacy_bitwise(self, T, step):
+        # Within the first panel the kernel's arithmetic is the column loop's, so every read is bitwise equal.
+        model, _, _ = TestPanelKernel._model(T)
+        risk = self._spiked(T, step)
+        sol, ref = rf.solve_volterra(model, risk), legacy_solve_volterra(model, risk)
+        assert verdict(sol) == verdict(ref) == (False, step, CLAUSE_DENOM)
+        assert sol.horizon == T
+        for got, want in ((sol.gamma_bar, ref.gamma_bar), (sol.diag, ref.diag)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sol.to_dict() == ref.to_dict()
+
+
 class TestMatrixSolver:
     def test_scalar_reduction(self, rng):
         for _ in range(5):
