@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, SingularConditioning, TransformDiverges
-from .filtering import _centering, leg_filter, z_h
+from .filtering import _centering, _innovation, leg_filter, z_h
 from .model import GaussianModel, RiskSpec, sample_paths
 from .oracle import _augment, _aux_correction, _schur, assemble_joint, log_expected_exp_quadratic
 from .volterra import VolterraSolution, solve_volterra
@@ -88,8 +88,8 @@ def cm_decompose(model: GaussianModel, risk: RiskSpec, Y, h,
 
     Z, Zt = _centering(model, risk, Y, h, solution)
 
-    one_bar = 1.0 + A**2 * gbar
-    one_rn = 1.0 + A**2 * gamma
+    one_bar = _innovation(A, gbar)
+    one_rn = _innovation(A, gamma)
     step_log_scale = -0.5 * (np.log1p(S * gbar) - np.log(one_bar))
     step_exponent = 0.5 * mu * Q * one_bar / (1.0 + S * gbar) * (h - Zt) ** 2
 
@@ -156,8 +156,8 @@ def exact_martingale_expectation(model: GaussianModel, risk: RiskSpec, filt) -> 
     w = np.hstack([z_h(model, risk, B, filt.apply(B), solution=solution) - predictor, nu])
     w0, W = w[0], (w[1:] - w[0]).T
 
-    one_bar = 1.0 + A**2 * gbar
-    one_rn = 1.0 + A**2 * gamma
+    one_bar = _innovation(A, gbar)
+    one_rn = _innovation(A, gamma)
     beta = np.diag(A / one_bar)
     D = np.block([[np.diag(A**2 / one_bar), -beta],
                   [-beta, np.diag(A**2 * (gamma - gbar) / (one_bar * one_rn))]])

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, DomainError, InconsistentRecursion, Singu
 from .model import GaussianModel, RiskSpec, _as_sequence
 from .volterra import (
     COND_LIMIT,
+    FEAS_TOL,
     VolterraSolution,
     ar1_riccati,
     ma1_gamma,
@@ -77,21 +78,24 @@ def _lower_solve(gbar, w, d, R, B):
     """Forward substitution for X_t = (R_t + sum_{l<t} gbar(t,l) (B_l - w_l X_l)) / d_t.
 
     This is the lower-triangular system (diag(d) + Gs diag(w)) X = R + Gs B,
-    Gs the strict lower triangle of gbar. Rows of gbar are read one at a time,
-    so no (T, T) matrix is formed. R and B are (T,) or (T, k). One path with
-    no zero d_t runs its scalar steps in Python floats, which round as numpy's
-    do; only its dot product per step stays a numpy call.
+    Gs the strict lower triangle of gbar. ``gbar`` is a (T, T) table or the
+    rows gbar(t, :t) of one, such as a solution's ``_rows()``; each is read
+    once. R and B are (T,) or (T, k). One path with no zero d_t runs its
+    scalar steps in Python floats, which round as numpy's do; only its dot
+    product per step stays a numpy call.
     """
+    if isinstance(gbar, np.ndarray):
+        gbar = (row[:t] for t, row in enumerate(gbar))
     X = np.array(R, dtype=float, order="C")
     E = np.array(B, dtype=float, order="C")  # rows l < t hold B_l - w_l X_l
     if X.ndim == 1 and np.all(d):  # a zero d_t divides as numpy does, below
         x, b = X.tolist(), E.tolist()
-        for t, (wt, dt) in enumerate(zip(w.tolist(), d.tolist())):
-            x[t] = (x[t] + float(gbar[t, :t] @ E[:t])) / dt
+        for t, (g, wt, dt) in enumerate(zip(gbar, w.tolist(), d.tolist())):
+            x[t] = (x[t] + float(g @ E[:t])) / dt
             E[t] = b[t] - wt * x[t]
         return np.array(x)
-    for t in range(len(d)):
-        X[t] = (X[t] + gbar[t, :t] @ E[:t]) / d[t]
+    for t, g in enumerate(gbar):
+        X[t] = (X[t] + g @ E[:t]) / d[t]
         E[t] -= w[t] * X[t]
     return X
 
@@ -111,7 +115,21 @@ def _solve_paths(gbar, w, d, R, B):
     return _lower_solve(gbar, w, d, columns(R), columns(B)).T.reshape(shape)
 
 
+def _innovation(A, g):
+    """1 + A_t^2 gbar_t, after raising at the first step where it is not above ``FEAS_TOL``.
+
+    A feasible solve bounds gbar_t below by -FEAS_TOL only, so a gain A_t^2 of order 1/FEAS_TOL can
+    still make the term vanish; every division by it and every logarithm of it comes after this check.
+    """
+    one = 1.0 + A**2 * g
+    for step in np.flatnonzero(~(one > FEAS_TOL))[:1] + 1:
+        raise SingularInnovationMatrix(f"innovation variance 1 + A_t^2 gamma_bar_t at step {step} is not positive",
+                                       step=int(step))
+    return one
+
+
 def _risk_value(mu, S, A, g) -> float:
+    """mu * prod_t [(1+S_t g_t)/(1+A_t^2 g_t)]^(-1/2), once ``_innovation`` has checked its denominators."""
     log_prod = -0.5 * (np.log1p(S * g) - np.log1p(A**2 * g)).sum()
     return mu * float(np.exp(log_prod))
 
@@ -121,7 +139,9 @@ def optimal_risk(solution: VolterraSolution, risk: RiskSpec, A) -> float:
     if risk.mu == 0.0:
         raise DomainError(MU_ZERO)
     solution.require_feasible()
-    return _risk_value(risk.mu, solution.S, np.asarray(A, dtype=float), solution.diag)
+    A, g = np.asarray(A, dtype=float), solution.diag
+    _innovation(A, g)
+    return _risk_value(risk.mu, solution.S, A, g)
 
 
 def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution | None = None) -> AffineFilter:
@@ -146,7 +166,7 @@ def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution 
     A, g = model.gains1, sol.diag
     R = np.column_stack([model.mean1, np.diag(A * g)])
     B = np.column_stack([np.zeros(model.horizon), np.diag(A)])
-    cF = _lower_solve(sol.gamma_bar, A**2, 1.0 + A**2 * g, R, B)
+    cF = _lower_solve(sol._rows(), A**2, _innovation(A, g), R, B)
     return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
 
 
@@ -161,8 +181,9 @@ def leg_filter(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSoluti
     sol = _scalar_solution(model, risk, solution)
     Y = _check_horizon(Y, model.horizon)
     A, g = model.gains1, sol.diag
-    h = _solve_paths(sol.gamma_bar, A**2, 1.0 + A**2 * g, model.mean1 + A * g * Y, A * Y)
-    return _filter_run(h, A, g, sol.S, risk.mu, Y)
+    one = _innovation(A, g)
+    h = _solve_paths(sol._rows(), A**2, one, model.mean1 + A * g * Y, A * Y)
+    return _filter_run(h, A, g, one, sol.S, risk.mu, Y)
 
 
 def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None) -> np.ndarray:
@@ -182,7 +203,7 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
     denom = 1.0 + sol.S * sol.diag
     wq = risk.mu * risk.q_vector() / denom
     wa = A / denom
-    return _solve_paths(sol.gamma_bar, A * wa - wq, np.ones(T), m, wa * Y - wq * h)
+    return _solve_paths(sol._rows(), A * wa - wq, np.ones(T), m, wa * Y - wq * h)
 
 
 def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution):
@@ -199,8 +220,9 @@ def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSol
     A, m = model.gains1, model.mean1
     g = solution.diag
     wq = risk.mu * risk.q_vector() / (1.0 + solution.S * g)
-    Zt = _solve_paths(solution.gamma_bar, A**2 - wq, 1.0 + A**2 * g, m + A * g * Y, A * Y - wq * h)
-    Zt_alg = (Z + A * g * Y) / (1.0 + A**2 * g)
+    one = _innovation(A, g)
+    Zt = _solve_paths(solution._rows(), A**2 - wq, one, m + A * g * Y, A * Y - wq * h)
+    Zt_alg = (Z + A * g * Y) / one
     err = float(np.max(np.abs(Zt - Zt_alg) / np.maximum(1.0, np.abs(Zt_alg))))
     if err > ZTILDE_RAISE_TOL:
         raise InconsistentRecursion(
@@ -218,7 +240,7 @@ def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSoluti
     sol = _scalar_solution(model, risk, solution)
     _, Zt = _centering(model, risk, Y, h, sol)
     A, g = model.gains1, sol.diag
-    return Zt, np.broadcast_to(g / (1.0 + A**2 * g), Zt.shape).copy()
+    return Zt, np.broadcast_to(g / _innovation(A, g), Zt.shape).copy()
 
 
 def risk_neutral_filter(model: GaussianModel, Y) -> np.ndarray:
@@ -241,13 +263,14 @@ def ar1_filter(a, D, x0, A, Q, mu, Y) -> FilterRun:
     A = _as_sequence(A, T, "A")
     Q = _as_sequence(Q, T, "Q")
     g = ar1_riccati(a, D, A, Q, mu, T)
+    one = _innovation(A, g)
     h = np.zeros(Y.shape)
     prev = np.full(Y.shape[:-1], float(x0))
     for t in range(T):
         c = 1.0 + A[t] ** 2 * g[t]
         h[..., t] = (a[t] * prev + A[t] * g[t] * Y[..., t]) / c
         prev = h[..., t]
-    return _filter_run(h, A, g, A**2 - mu * Q, mu, Y)
+    return _filter_run(h, A, g, one, A**2 - mu * Q, mu, Y)
 
 
 def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
@@ -258,6 +281,7 @@ def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
     A = _as_sequence(A, T, "A")
     Q = _as_sequence(Q, T, "Q")
     g = ma1_gamma(lam, A, Q, mu, T)
+    one = _innovation(A, g)
     h = np.zeros(Y.shape)
     for t in range(T):
         c = 1.0 + A[t] ** 2 * g[t]
@@ -265,17 +289,17 @@ def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
         if t > 0:
             lag = lam * A[t - 1] * (Y[..., t - 1] - A[t - 1] * h[..., t - 1])
         h[..., t] = (lag + A[t] * g[t] * Y[..., t]) / c
-    return _filter_run(h, A, g, A**2 - mu * Q, mu, Y)
+    return _filter_run(h, A, g, one, A**2 - mu * Q, mu, Y)
 
 
-def _filter_run(h, A, g, S, mu, Y) -> FilterRun:
-    """FilterRun of an optimal estimate h; at the optimum Z~ = h, so Z_h follows algebraically."""
-    gamma_tilde = g / (1.0 + A**2 * g)
+def _filter_run(h, A, g, one, S, mu, Y) -> FilterRun:
+    """FilterRun of an optimal estimate h, with ``one`` = 1 + A^2 g from ``_innovation``; at the optimum
+    Z~ = h, so Z_h follows algebraically."""
     return FilterRun(
         h_bar=h,
-        Z_h=h * (1.0 + A**2 * g) - A * g * Y,
+        Z_h=h * one - A * g * Y,
         Z_tilde=h,
-        gamma_tilde=np.broadcast_to(gamma_tilde, h.shape).copy(),
+        gamma_tilde=np.broadcast_to(g / one, h.shape).copy(),
         gamma_bar_diag=np.broadcast_to(g, h.shape).copy(),
         risk=_risk_value(mu, S, A, g) if mu != 0.0 else None,
     )
@@ -302,9 +326,11 @@ def _block_solve(model: GaussianModel, solution: VolterraSolution, M, Y) -> np.n
         raise SingularInnovationMatrix(f"observation gain denominator at step {step} is singular", step=step)
 
     Dinv = np.linalg.inv(D)
-    G = _by_column(solution.gamma_bar, A.transpose(0, 2, 1) @ Dinv)  # G[t, :, l, :] = G(t,l)
+    gains = _by_block(solution._packed, np.take(A.transpose(0, 2, 1) @ Dinv, solution._cols(), 0))  # G(t,l), l <= t
+    G = solution._padded(gains)
     if C is not None:
-        G += _by_column(C, Dinv)
+        G += _by_block(C, Dinv)
+    G = np.ascontiguousarray(G.transpose(0, 2, 1, 3))  # G[t, :, l, :] = G(t,l)
     P = np.linalg.inv(np.eye(n) + G[idx, :, idx] @ A)
     Z = np.concatenate([P, -A @ P], axis=1)  # h_t and eps_t - Y_t are Z_t (M_t + G(t,t) Y_t + ...)
     W = Z @ G.reshape(T, n, T * m)
@@ -319,10 +345,10 @@ def _block_solve(model: GaussianModel, solution: VolterraSolution, M, Y) -> np.n
     return ZM[..., :n] + R[..., :n]
 
 
-def _by_column(X, B):
-    """(T, p, T, r) array of the blocks X(t,l) B_l, for a (T, T, p, q) table X and (T, q, r) blocks B."""
-    Xt = X.transpose(0, 2, 1, 3)
-    return sum(Xt[..., k, None] * B[:, k] for k in range(B.shape[1]))
+def _by_block(X, B):
+    """The products of (..., p, q) blocks X and (..., q, r) blocks B, broadcast together: one elementwise
+    sum over q, in order, so each block's result depends on its own factors only."""
+    return sum(X[..., k, None] * B[..., None, k, :] for k in range(B.shape[-2]))
 
 
 def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSolution | None = None) -> FilterRun:

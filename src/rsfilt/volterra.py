@@ -30,7 +30,6 @@ COND_LIMIT = 1e12
 CLAUSE_DIAG = "gamma_bar_t >= 0"
 CLAUSE_DENOM = "1 + S_t * gamma_bar_t > 0"
 PANEL = 32  # columns per matrix product of the scalar kernel; steps per batch of checks of the correlated kernel
-_UPPER = ~np.tri(PANEL, dtype=bool)  # strict upper triangle of a panel's diagonal block
 OVERFLOW = "overflows double precision"
 
 
@@ -42,14 +41,16 @@ class VolterraSolution:
     entries with t >= s are meaningful. ``first_violation`` is the 1-based
     step at which feasibility first failed (columns from there on are zero).
 
-    A solve that stops at ``first_violation = k`` stores only the k columns
-    its recursion reached, (T, k) or (T, k, n, n); the constructor accepts
-    such leading columns as ``gamma_bar`` too. Each read of an infeasible
-    solution's ``gamma_bar`` then builds a fresh zero-padded table, while
-    ``horizon`` and ``diag`` read the stored columns.
+    A solution stores the lower triangle of the k columns its recursion
+    reached (k = T if feasible, else ``first_violation``), packed by rows:
+    row t holds gbar(t, 0..min(t, k - 1)), as scalars or as n x n blocks,
+    from offset t (t + 1) / 2 up to row k, then k further per row. The
+    constructor takes the table or its k leading columns. Each read of
+    ``gamma_bar`` builds a fresh zero-padded table; ``horizon``, ``diag`` and
+    the rows read the packed buffer.
     """
 
-    _columns: np.ndarray
+    _packed: np.ndarray
     S: np.ndarray
     mu: float
     feasible: bool
@@ -57,30 +58,60 @@ class VolterraSolution:
     violated_clause: str | None
 
     def __init__(self, gamma_bar, S, mu, feasible, first_violation=None, violated_clause=None):
-        for f, value in zip(fields(self), (gamma_bar, S, mu, feasible, first_violation, violated_clause)):
+        table = np.asarray(gamma_bar)
+        self._fill(_pack(table, first_violation or len(table)), S, mu, feasible, first_violation, violated_clause)
+
+    @classmethod
+    def _from_rows(cls, *values) -> "VolterraSolution":
+        """The solution with these field values, packed rows first, built without a table."""
+        sol = cls.__new__(cls)
+        sol._fill(*values)
+        return sol
+
+    def _fill(self, *values):
+        for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
 
     @property
     def gamma_bar(self) -> np.ndarray:
-        cols = self._columns
-        T, k = cols.shape[:2]
-        if k == T:
-            return cols
-        table = np.zeros((T, T) + cols.shape[2:])
-        table[:, :k] = cols
+        return self._padded(self._packed)
+
+    def _padded(self, values) -> np.ndarray:
+        """The zero-padded (T, T, ...) table of ``values``, one entry or block per packed entry, in their order."""
+        T, k, size = self.horizon, self._reached, values[0].size
+        table = np.zeros((T, T) + values.shape[1:])
+        kept = np.tri(T, k, dtype=bool)  # row t's first size min(t + 1, k) floats are its packed row's
+        table.reshape(T, -1)[:, : k * size][kept.repeat(size, axis=1) if size > 1 else kept] = values.ravel()
         return table
+
+    def _cols(self) -> np.ndarray:
+        """The column l of each packed entry gbar(t, l), in their order."""
+        T, k = self.horizon, self._reached
+        return np.broadcast_to(np.arange(k), (T, k))[np.tri(T, k, dtype=bool)]
 
     @property
     def horizon(self) -> int:
-        return self._columns.shape[0]
+        return len(self.S)
+
+    @property
+    def _reached(self) -> int:
+        return self.first_violation or self.horizon
 
     @property
     def diag(self) -> np.ndarray:
-        cols = self._columns
-        idx = np.arange(cols.shape[1])
-        out = np.zeros((self.horizon,) + cols.shape[2:])
-        out[idx] = cols[idx, idx]
+        t = np.arange(self._reached)
+        out = np.zeros((self.horizon,) + self._packed.shape[1:])
+        out[t] = self._packed[t * (t + 3) // 2]
         return out
+
+    def _rows(self):
+        """Row t's stored entries left of the diagonal, gbar(t, :min(t, k)), for t = 0, ..., T - 1: views of
+        the packed buffer."""
+        packed, k, start = self._packed, self._reached, 0
+        for t in range(self.horizon):
+            left = t if t < k else k
+            yield packed[start : start + left]
+            start += left + (t < k)
 
     def require_feasible(self) -> "VolterraSolution":
         if not self.feasible:
@@ -134,7 +165,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     if S.shape != (T,):
         raise DimensionMismatch(f"risk weights have horizon {S.shape[0]}, model has {T}")
 
-    gam = np.zeros((T, T))
+    gam = np.empty((T, T))  # nothing above the diagonal is read or packed, so it is never cleared
     w = np.zeros(T)  # S_l / (1 + S_l * gbar_l)
     Sf = S.tolist()
     feasible, violation, clause = True, None, None
@@ -146,7 +177,6 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
             panel[:] = K[p:, p:q]
             if p:
                 panel -= gam[p:, :p] @ (gam[p:q, :p] * w[:p]).T
-            panel[: q - p][_UPPER[: q - p, : q - p]] = 0.0
         col = gam[s:, s]
         col -= gam[s:, p:s] @ (gam[s, p:s] * w[p:s])
         g = col[0]
@@ -158,13 +188,9 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         elif denom <= FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DENOM
         if not feasible:
-            gam = gam[:, : s + 1].copy()  # the columns reached; the working table is dropped
             break
         w[s] = Sf[s] / denom
-    return VolterraSolution(
-        gamma_bar=gam, S=S, mu=risk.mu, feasible=feasible,
-        first_violation=violation, violated_clause=clause,
-    )
+    return VolterraSolution._from_rows(_pack(gam, violation or T), S, risk.mu, feasible, violation, clause)
 
 
 def solve_volterra_matrix(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
@@ -206,7 +232,7 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     E = H @ np.concatenate([C.reshape(T, n, T, m)[np.arange(T), :, np.arange(T)], np.zeros((T, n, n))], 2)
     D = E + E.transpose(0, 2, 1) + np.eye(m + n) * np.concatenate([np.ones((T, m)), lam], axis=1)[:, None, :]
 
-    gam = model.flat_cov().copy()  # column s becomes gbar's at step s; the blocks above are zeroed at the end
+    gam = model.flat_cov().copy()  # column s becomes gbar's at step s; the blocks above it are not read
     U = np.zeros((T * n, int(r.sum())))  # U_l, l < s
     W = np.zeros_like(U)  # U_l V_l^{-1}
     violation, clause, first, gs, Vs, off = None, None, 0, [], [], 0
@@ -232,12 +258,28 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
                     break
                 first, gs, Vs = s + 1, [], []
 
-    del U, W, C  # released before the transposed copy of the columns reached
-    k = violation or T
-    gam = np.ascontiguousarray(gam[:, : k * n].reshape(T, n, k, n).transpose(0, 2, 1, 3))
-    gam[~np.tri(T, k, dtype=bool)] = 0.0
-    return VolterraSolution(gamma_bar=gam, S=S, mu=risk.mu, feasible=violation is None,
-                            first_violation=violation, violated_clause=clause)
+    del U, W, C  # released before the rows are packed
+    blocks = gam.reshape(T, n, T, n).transpose(0, 2, 1, 3)  # blocks[t, l] = gbar(t, l)
+    return VolterraSolution._from_rows(_pack(blocks, violation or T), S, risk.mu, violation is None, violation, clause)
+
+
+def _pack(table, k):
+    """Rows of the lower triangle of a (T, T) table's or (T, T, n, n) blocks' k leading columns, packed in
+    row order: row t, gbar(t, 0..min(t, k - 1)), starts at ``_offset(t, k)``. Copied 16 rows at a time,
+    so the copy's temporaries are about 16 / T of a table."""
+    T, R = len(table), 16
+    rows = np.empty((_offset(T, k),) + table.shape[2:])
+    tri = np.tri(R, T + k, T, dtype=bool)  # tri[i, T - p + l] is l <= p + i: row p + i's columns
+    for p in range(0, T, R):
+        q = min(p + R, T)
+        rows[_offset(p, k) : _offset(q, k)] = table[p:q, :k][tri[: q - p, T - p : T - p + k]]
+    return rows
+
+
+def _offset(t, k):
+    """Start of row t in packed rows of k columns: t (t + 1) / 2 up to row k, then k further per row."""
+    j = min(t, k)
+    return j * (j + 1) // 2 + (t - j) * k
 
 
 def _weights(risk: RiskSpec, gains: np.ndarray) -> np.ndarray:

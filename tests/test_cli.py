@@ -72,6 +72,19 @@ def test_filter_infeasible_exit_code(config_path, capsys):
     assert "1 + S_t" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_vanishing_innovation_exits_2_at_its_step(tmp_path, capsys):
+    # gbar_1 = K = -1e-12 is inside check_psd's tolerance and the solve's floors, but 1 + A_1^2 gbar_1 = 0.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": "general", "m": [0.0], "K": [[-1e-12]], "A": [1e6]},
+                                "risk": {"mu": 2.0, "Q": 1.0}}))
+    assert run(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["risk", "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "step 1" in out.err and "1 + A_t^2 gamma_bar_t" in out.err
+
+
 def test_filter_does_not_mutate_config(config_path):
     before = Path(config_path).read_text()
     run(["filter", "--config", config_path])

@@ -201,6 +201,46 @@ def test_one_path_python_floats_match_numpy_scalars(rng, T, edge):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("T", [1, 33, 800])
+def test_packed_rows_solve_as_the_table(rng, T):
+    # The filters read each row from the solution's packed buffer in place of the padded table: same bits,
+    # for one path (a dot product per step) and for a batch (a matrix-vector product per step).
+    K = np.tril(fgn_kernel(T, 0.75))
+    model = rf.build_general(rng.normal(size=T) * 0.5, K, rng.uniform(0.5, 1.5, T))
+    sol = rf.solve_volterra(model, rf.RiskSpec(mu=-1.0, Q=rng.uniform(0.5, 1.5, T)))
+    A, g = model.gains1, sol.diag
+    for Y in (rng.normal(size=T), rng.normal(size=(4, T))):
+        args = (A**2, 1.0 + A**2 * g, model.mean1 + A * g * Y, A * Y)
+        got, want = rf.filtering._solve_paths(sol._rows(), *args), rf.filtering._solve_paths(sol.gamma_bar, *args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestVanishingInnovation:
+    """gbar_2 = -1e-12 passes the solve's -FEAS_TOL floor and 1 + S_2 gbar_2 = 2e-12 its denominator
+    check, but 1 + A_2^2 gbar_2 = 0 with A_2 = 1e6: a numerical failure at step 2, before any division."""
+
+    @staticmethod
+    def _case():
+        model = rf.build_general([0.0, 0.0], np.diag([1.0, -1e-12]), [1.0, 1e6])
+        risk = rf.RiskSpec(mu=2.0, Q=np.array([0.0, 1.0]))
+        return model, risk, rf.solve_volterra(model, risk)
+
+    @pytest.mark.parametrize("call", ["optimal_risk", "leg_filter", "leg_affine", "z_tilde"])
+    def test_raises_at_the_step(self, call):
+        model, risk, sol = self._case()
+        assert sol.feasible
+        run = {
+            "optimal_risk": lambda: rf.optimal_risk(sol, risk, model.gains1),
+            "leg_filter": lambda: rf.leg_filter(model, risk, np.ones(2), solution=sol),
+            "leg_affine": lambda: rf.leg_affine(model, risk, solution=sol),
+            "z_tilde": lambda: rf.z_tilde(model, risk, np.ones(2), np.zeros(2), solution=sol),
+        }[call]
+        with pytest.raises(SingularInnovationMatrix, match="at step 2 is not positive") as exc:
+            run()
+        assert exc.value.step == 2
+
+
 class TestOptimalRisk:
     def test_mu_zero_errors(self, rng):
         model = random_scalar_model(rng, 3)

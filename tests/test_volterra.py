@@ -383,6 +383,116 @@ class TestInfeasibleColumns:
         assert sol.to_dict() == ref.to_dict()
 
 
+class TestPackedRows:
+    """Every solution stores the row-packed lower triangle of the columns it reached: about half
+    the table a feasible solve held before. Its reads are the working table's, bit for bit."""
+
+    HEADERS = TestInfeasibleColumns.HEADERS
+
+    @staticmethod
+    def _correlated(T, step=None, n=2):
+        K = np.eye(T)[:, :, None, None] * np.eye(n) + 0.3
+        model = rf.build_vector_model(np.zeros((T, n)), K, np.ones((T, 1, n)))
+        Q = np.tile(0.05 * np.eye(n), (T, 1, 1))
+        if step:
+            Q[step - 1] = 50.0 * np.eye(n)
+        return model, rf.RiskSpec(mu=1.0, Q=Q)
+
+    def _solve(self, kernel, T, step):
+        if kernel == "scalar":
+            model, _, Q = TestPanelKernel._model(T)
+            risk = TestInfeasibleColumns._spiked(T, step) if step else rf.RiskSpec(mu=-0.5, Q=Q)
+            return rf.solve_volterra(model, risk)
+        return rf.solve_volterra_correlated(*self._correlated(T, step))
+
+    def test_scalar_solve_holds_its_packed_rows(self):
+        # The packed rows, T(T + 1) / 2 floats, and S, T floats; the full table would be T^2 floats.
+        T = 800
+        model, _, Q = TestPanelKernel._model(T)
+        sol, held = held_after(rf.solve_volterra, model, rf.RiskSpec(mu=-0.5, Q=Q))
+        assert sol.feasible
+        assert held <= (T * (T + 1) // 2 + T) * 8 + self.HEADERS
+
+    def test_correlated_solve_holds_its_packed_rows(self):
+        T, n = 200, 2
+        sol, held = held_after(rf.solve_volterra_correlated, *self._correlated(T))
+        assert sol.feasible
+        assert held <= (T * (T + 1) // 2 + T) * n * n * 8 + self.HEADERS
+
+    def test_mu_scan_holds_half_a_table_per_feasible_point(self):
+        T = 400
+        model, _, Q = TestPanelKernel._model(T)
+        risks = [rf.RiskSpec(mu=mu, Q=Q) for mu in (-2.0, -0.5, 0.1, 0.5, 1.2, 2.0)]
+        [rf.solve_volterra(model, risk) for risk in risks]
+        tracemalloc.start()
+        try:
+            sols = [rf.solve_volterra(model, risk) for risk in risks]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        feasible = sum(sol.feasible for sol in sols)
+        assert 0 < feasible < len(sols)
+        assert held <= ((T + 1) / (2 * T) * feasible + 0.1) * T * T * 8
+
+    def test_traced_peak_of_a_feasible_solve(self):
+        # The working table and the packed rows are alive together while the rows are copied.
+        T = 800
+        model, _, Q = TestPanelKernel._model(T)
+        risk = rf.RiskSpec(mu=-0.5, Q=Q)
+        rf.solve_volterra(model, risk)
+        tracemalloc.start()
+        try:
+            sol = rf.solve_volterra(model, risk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.feasible
+        assert peak <= 1.55 * T * T * 8
+
+    @pytest.mark.parametrize("T, step", [(1, None), (1, 1), (16, None), (16, 15), (17, None), (17, 1), (17, 17),
+                                         (40, None), (40, 16), (40, 33)])
+    @pytest.mark.parametrize("kernel", ["scalar", "correlated"])
+    def test_reads_are_the_working_tables(self, kernel, T, step, monkeypatch):
+        # Packing only copies: gamma_bar, diag and to_dict() are the kernel's own table with the
+        # entries above the diagonal and after the columns reached zeroed, bit for bit.
+        tables = []
+        pack = rf.volterra._pack
+        monkeypatch.setattr(rf.volterra, "_pack", lambda table, k: tables.append(table.copy()) or pack(table, k))
+        sol = self._solve(kernel, T, step)
+        assert (sol.feasible, sol.first_violation) == (step is None, step)
+        k = step or T
+        (table,) = tables
+        kept = np.tri(T, dtype=bool) & (np.arange(T) < k)
+        want = np.where(kept.reshape(kept.shape + (1,) * (table.ndim - 2)), table, 0.0)
+        got = sol.gamma_bar
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sol.diag.tobytes() == want[np.arange(T), np.arange(T)].tobytes()
+        assert json.dumps(sol.to_dict()) == json.dumps({**sol.to_dict(), "gamma_bar": want.tolist()})
+        built = rf.VolterraSolution(want[:, :k], sol.S, sol.mu, sol.feasible, sol.first_violation, sol.violated_clause)
+        assert json.dumps(built.to_dict()) == json.dumps(sol.to_dict())
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 0.5])
+    @pytest.mark.parametrize("T", [1, 16, 17, PANEL])
+    def test_feasible_reads_match_legacy_bitwise(self, T, mu):
+        model, _, Q = TestPanelKernel._model(T)
+        risk = rf.RiskSpec(mu=mu, Q=Q)
+        sol, ref = rf.solve_volterra(model, risk), legacy_solve_volterra(model, risk)
+        assert verdict(sol) == verdict(ref) == (True, None, None)
+        for got, want in ((sol.gamma_bar, ref.gamma_bar), (sol.diag, ref.diag)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert sol.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("step", [None, 5])
+    @pytest.mark.parametrize("kernel", ["scalar", "correlated"])
+    def test_writing_into_a_read_leaves_the_solution(self, kernel, step):
+        sol = self._solve(kernel, 40, step)
+        table, diag = sol.gamma_bar, sol.diag
+        before = table.tobytes(), diag.tobytes()
+        table += 1.0
+        diag += 1.0
+        assert (sol.gamma_bar.tobytes(), sol.diag.tobytes()) == before
+
+
 class TestMatrixSolver:
     def test_scalar_reduction(self, rng):
         for _ in range(5):
