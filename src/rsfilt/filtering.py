@@ -267,8 +267,7 @@ def ar1_filter(a, D, x0, A, Q, mu, Y) -> FilterRun:
     h = np.zeros(Y.shape)
     prev = np.full(Y.shape[:-1], float(x0))
     for t in range(T):
-        c = 1.0 + A[t] ** 2 * g[t]
-        h[..., t] = (a[t] * prev + A[t] * g[t] * Y[..., t]) / c
+        h[..., t] = (a[t] * prev + A[t] * g[t] * Y[..., t]) / one[t]
         prev = h[..., t]
     return _filter_run(h, A, g, one, A**2 - mu * Q, mu, Y)
 
@@ -284,11 +283,10 @@ def ma1_filter(lam, A, Q, mu, Y) -> FilterRun:
     one = _innovation(A, g)
     h = np.zeros(Y.shape)
     for t in range(T):
-        c = 1.0 + A[t] ** 2 * g[t]
         lag = 0.0
         if t > 0:
             lag = lam * A[t - 1] * (Y[..., t - 1] - A[t - 1] * h[..., t - 1])
-        h[..., t] = (lag + A[t] * g[t] * Y[..., t]) / c
+        h[..., t] = (lag + A[t] * g[t] * Y[..., t]) / one[t]
     return _filter_run(h, A, g, one, A**2 - mu * Q, mu, Y)
 
 

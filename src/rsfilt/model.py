@@ -53,6 +53,22 @@ def _mirror_lower(K):
     return full
 
 
+def _factors_above_floor(sym, scale) -> bool:
+    """Whether Cholesky of the symmetric sym + 0.5 PSD_TOL scale I succeeds, for one matrix or a
+    stack with one scale per block. The diagonal is shifted in place, to hold one table fewer, and
+    restored from a saved copy, so sym reads as before."""
+    diag = np.einsum("...ii->...i", sym)
+    saved = diag.copy()
+    diag += 0.5 * PSD_TOL * scale[..., None]
+    try:
+        np.linalg.cholesky(sym)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diag[...] = saved
+
+
 def check_psd(mat, what):
     """Eigenvalue floor check with tolerance -PSD_TOL * trace, of one matrix or of each block of
     a (T, N, N) stack, ``what`` naming block t by ``{}``. Cholesky of sym + 0.5 PSD_TOL scale I
@@ -64,15 +80,7 @@ def check_psd(mat, what):
     sym = 0.5 * (mat if finite.all() else np.where(finite[..., None, None], mat, 0.0))
     sym = sym + np.swapaxes(sym, -1, -2)
     scale = np.maximum(np.trace(sym, axis1=-2, axis2=-1), 1.0)
-    diag = np.einsum("...ii->...i", sym)  # a view: shifted in place, to hold one table fewer
-    saved = diag.copy()
-    diag += 0.5 * PSD_TOL * scale[..., None]
-    try:
-        np.linalg.cholesky(sym)
-        worst = np.zeros_like(scale)
-    except np.linalg.LinAlgError:
-        diag[...] = saved
-        worst = np.linalg.eigvalsh(sym)[..., 0]
+    worst = np.zeros_like(scale) if _factors_above_floor(sym, scale) else np.linalg.eigvalsh(sym)[..., 0]
     for t in np.flatnonzero(~finite | ~(worst >= -PSD_TOL * scale))[:1]:  # a nan worst fails
         name = what.format(t + 1)
         if not finite.flat[t]:
@@ -370,7 +378,12 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
     model = GaussianModel(mean=m, cov=cov, gains=A, cross_cov=C)
     certified = _schur_certificate(model)
     if not certified:
-        check_psd(model.flat_cov(), "signal covariance table")
+        # The flat table is a view of cov for n = 1 and a fresh copy for n > 1, exactly symmetric by
+        # construction, so it factors as check_psd's symmetrized copy would; only a table that is not
+        # finite or fails to factor goes to check_psd for the verdict and message.
+        flat = model.flat_cov()
+        if not (np.isfinite(flat).all() and _factors_above_floor(flat, np.maximum(np.trace(flat), 1.0))):
+            check_psd(flat, "signal covariance table")
     if C is not None:
         if C.shape != (T, T, n, m_obs):
             raise DimensionMismatch(

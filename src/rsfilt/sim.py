@@ -4,9 +4,9 @@ Every filter is resolved to its causal affine map once, and with the joint
 factor of (X, eps) that map becomes one residual map from a path's standard
 normals z to its estimation error, so each batch costs one matrix product
 per filter. Each batch draws its normals from its own counter-based stream.
-Each batch goes to one of a few workers (the calling thread alone when one
-runs), which draws it and applies every residual map over tiles of paths, a
-chunk of a few thousand paths at a time: a worker holds a chunk of z and of
+Each batch goes to one of a few workers (the calling thread is one), which
+draws it and applies every residual map over tiles of paths, a chunk of
+eight tiles at a time: a worker holds a chunk of z and of
 the errors plus n weights per filter per batch, and returns only the batch's
 partial sums; the calling thread folds them in batch order, so no number
 depends on the threads. A batch's values are reduced in place in those n
@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ DRAW_WORKERS = 3  # most threads running Monte Carlo batches at once
 # dgemm starts its own threads (about twice this), so on a run of several
 # batches only the batch workers compete for the cores.
 TILE_MADDS = 1 << 18
-CHUNK_TILES = 16  # tiles per chunk a batch worker holds at once; fewer mean more GIL-holding Python calls
+CHUNK_TILES = 8  # tiles per chunk a batch worker holds at once; fewer mean more GIL-holding Python calls
 
 
 @dataclass(frozen=True)
@@ -199,44 +200,47 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
     Returns per filter (shift, sum u, sum u^2) and its exponent-cap count, and
     for two filters the paired difference's (shift, sum d, sum d^2). A chunk
     continues the batch's one normal stream and its products run stacked over
-    tiles of ``tile`` paths, a part tile as one more product; z's rows are whole
-    tiles or the whole batch, so no number depends on the chunk size. e is scratch.
+    tiles of ``tile`` paths, a part tile at a chunk's end as one more product;
+    z's rows are whole tiles or the whole batch, so no number depends on the
+    chunk size. e is scratch.
 
     A worker holds z and e and one n-float array u per filter. Each chunk's
-    weighted squared errors land in u, scaled there to the exponent; then the
-    shift, exp and mu scaling, and for two filters the paired difference (in the
-    first filter's u), are formed in place, and every sum is ``_exact_sum`` over
-    blocks of a chunk's rows, squares in e's memory: the reduction allocates
-    nothing of batch size.
+    weighted squared errors land in u; once the batch is drawn, u is scaled to
+    the exponent and capped exponents are counted, then the shift, exp and mu
+    scaling, and for two filters the paired difference (in the first filter's
+    u), are formed in place, and every sum is ``_exact_sum`` over blocks of a
+    chunk's rows, squares in e's memory: the reduction allocates nothing of
+    batch size.
     """
     draw = np.random.Generator(np.random.Philox(seed)).standard_normal
     width = z.shape[1]
     log_space = exponential and risk.mu > 0
     us = [np.empty(n) for _ in maps]
-    capped = [0] * len(maps)
     # A huge |mu| overflows path values to inf or nan; the exponent-cap count and _finish report it.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, len(z)):
             zc, ec = z[: n - start], e[: n - start]  # the buffers, or the batch's last rows
             draw(out=zc)
             full = len(zc) - len(zc) % tile
-            for i, ((r, R), u) in enumerate(zip(maps, us)):
+            for (r, R), u in zip(maps, us):
                 uc = u[start: start + len(zc)]
                 np.matmul(zc[:full].reshape(-1, tile, width), R.T, out=ec[:full].reshape(-1, tile, len(r)))
-                np.matmul(zc[full:], R.T, out=ec[full:])
+                if full < len(zc):
+                    np.matmul(zc[full:], R.T, out=ec[full:])
                 ec += r
                 np.square(ec, out=ec)
                 np.matmul(ec[:full].reshape(-1, tile, len(r)), Q, out=uc[:full].reshape(-1, tile))
-                np.matmul(ec[full:], Q, out=uc[full:])
-                if exponential:
-                    uc *= 0.5 * risk.mu  # the path's exponent
-                    if log_space:
-                        capped[i] += int(np.count_nonzero(uc > EXP_CAP))
+                if full < len(zc):
+                    np.matmul(ec[full:], Q, out=uc[full:])
         scratch = e.reshape(-1)[: len(e)]
-        parts = []
-        for u in us:
-            shift = float(np.max(u)) if log_space else 0.0
+        parts, capped = [], [0] * len(maps)
+        for i, u in enumerate(us):
+            shift = 0.0
             if exponential:
+                u *= 0.5 * risk.mu  # the path's exponent
+                if log_space:
+                    capped[i] = int(np.count_nonzero(u > EXP_CAP))
+                    shift = float(np.max(u))
                 u -= shift
                 np.exp(u, out=u)
                 u *= risk.mu
@@ -256,33 +260,41 @@ def _batch(seed, n: int, z: np.ndarray, e: np.ndarray, maps, Q: np.ndarray, risk
 def _batch_results(seeds, sizes, width: int, maps, Q, risk, exponential: bool):
     """Each batch's ``_batch`` result, in batch order.
 
-    Batches run as jobs on min(batches, cpus, DRAW_WORKERS) workers, in order
-    on the calling thread when that is one, else on a thread pool; either way
-    moves no bit. Their chunk-sized (z, e) buffers, one pair per worker, are
-    allocated here and pass between jobs through a free list.
+    The calling thread and workers - 1 more threads, workers = min(batches,
+    cpus, DRAW_WORKERS), take batch indices from one shared iterator, so with
+    one worker the batches run in order on the calling thread; which thread
+    runs a batch moves no bit. Each worker allocates its own chunk-sized (z, e)
+    pair. The first failure stops every worker before its next batch, and once
+    all have stopped the calling thread raises it.
     """
     T = len(Q)
     workers = min(len(sizes), _available_cpus(), DRAW_WORKERS)
     tile = max(1, TILE_MADDS // (T * width))
     chunk = min(CHUNK_TILES * tile, sizes[0])
-    free = [(np.empty((chunk, width)), np.empty((chunk, T))) for _ in range(workers)]
+    batches = iter(range(len(sizes)))
+    results = [None] * len(sizes)
+    failed = []
 
-    def job(b):
-        z, e = free.pop()  # at most `workers` jobs hold a pair at once
-        try:
-            return _batch(seeds[b], sizes[b], z, e, maps, Q, risk, exponential, tile)
-        finally:
-            free.append((z, e))
+    def work():
+        z, e = np.empty((chunk, width)), np.empty((chunk, T))
+        for b in batches:
+            if failed:
+                return
+            try:
+                results[b] = _batch(seeds[b], sizes[b], z, e, maps, Q, risk, exponential, tile)
+            except BaseException as exc:  # raised again on the calling thread
+                failed.append(exc)
+                return
 
-    if workers == 1:
-        return [job(b) for b in range(len(sizes))]
-    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return [f.result() for f in [pool.submit(job, b) for b in range(len(sizes))]]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def _times_exp(x: float, shift: float) -> float:

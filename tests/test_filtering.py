@@ -386,6 +386,27 @@ class TestSpecializedFilters:
         model = rf.build_ma1(0.0, A, T)
         assert_allclose(run.h_bar, rf.risk_neutral_filter(model, Y), atol=1e-12)
 
+    def test_steps_divide_by_the_innovation_variance(self, rng):
+        # Each step divides by the same 1 + A_t^2 g_t array that Z_h and gamma_tilde use; numpy's scalar
+        # square differs from the array square in the last bit for about 1 gain in 1,100.
+        for _ in range(1500):
+            T = int(rng.integers(1, 9))
+            a, D, A, Q = (rng.uniform(lo, hi, T) for lo, hi in ((-1.0, 1.0), (0.3, 1.5), (-1.5, 1.5), (0.0, 1.2)))
+            lam, x0, mu = rng.uniform(-1.0, 1.0), rng.normal(), float(rng.uniform(-2.0, 0.0))
+            Y = rng.normal(size=T)
+            g = rf.ar1_riccati(a, D, A, Q, mu, T)
+            one = 1.0 + A**2 * g
+            h = rf.ar1_filter(a, D, x0, A, Q, mu, Y).h_bar
+            for t in range(T):
+                prev = h[t - 1] if t else x0
+                assert h[t] == (a[t] * prev + A[t] * g[t] * Y[t]) / one[t]
+            g = rf.ma1_gamma(lam, A, Q, mu, T)
+            one = 1.0 + A**2 * g
+            h = rf.ma1_filter(lam, A, Q, mu, Y).h_bar
+            for t in range(T):
+                lag = lam * A[t - 1] * (Y[t - 1] - A[t - 1] * h[t - 1]) if t else 0.0
+                assert h[t] == (lag + A[t] * g[t] * Y[t]) / one[t]
+
     def test_ma1_single_step(self):
         Y = np.array([0.7])
         run = rf.ma1_filter(0.5, 2.0, 1.0, -1.0, Y)

@@ -336,6 +336,82 @@ class TestCheckPsd:
             rf.model.check_psd(mat, "table")
 
 
+def _build_flat(K, n):
+    """A vector model from a flat (Tn, Tn) signal table, gains of ones."""
+    T = len(K) // n
+    return rf.build_vector_model(np.zeros((T, n)), K.reshape(T, n, T, n).transpose(0, 2, 1, 3), np.ones((T, 1, n)))
+
+
+def _traced_peak(build):
+    build()  # first-use set-up outside the trace
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSignalTableInPlace:
+    """The build factors its own flat table; verdicts and messages are check_psd's on its symmetrized copy."""
+
+    @staticmethod
+    def outcome(check):
+        try:
+            check()
+        except NotPositiveSemidefinite as exc:
+            return str(exc), exc.worst_eigenvalue
+        return "ok", None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("factor", [0.5, 0.0, -0.4, -0.99, -1.01, -2.0, -1e3, -1e9])
+    def test_same_verdict_as_check_psd(self, n, factor):
+        K = _with_floor(factor)
+        K = (K + K.T) / 2.0  # exactly symmetric, as the mirror is
+        got = self.outcome(lambda: _build_flat(K, n))
+        assert got == self.outcome(lambda: rf.model.check_psd(K, "signal covariance table"))
+        assert got[0] == "ok" if factor > -1 else got[0].startswith("signal covariance table is not positive")
+        if got[0] == "ok":  # the shifted diagonal is restored
+            assert _build_flat(K, n).flat_cov().tobytes() == K.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables(self, n, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(12, 12))
+        for K in (G @ G.T, G @ np.diag(rng.uniform(-0.2, 1.0, 12)) @ G.T + 3.0 * np.eye(12)):
+            K = (K + K.T) / 2.0
+            got = self.outcome(lambda: _build_flat(K, n))
+            assert got == self.outcome(lambda: rf.model.check_psd(K, "signal covariance table"))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad, where", [(np.nan, (5, 0)), (np.inf, (5, 0)), (-np.inf, (7, 2)), (np.inf, (3, 3))])
+    def test_non_finite_entries(self, n, bad, where):
+        K = _with_floor(0.5)
+        K = (K + K.T) / 2.0
+        K[where] = K[where[::-1]] = bad
+        got = self.outcome(lambda: _build_flat(K, n))
+        assert got == self.outcome(lambda: rf.model.check_psd(K, "signal covariance table"))
+        assert got[0] == "signal covariance table has entries that are not finite in double precision"
+
+    def test_build_general_holds_two_tables(self, rng):
+        # The mirror (1.14 tables, its mask freed) and the Cholesky factor; check_psd's symmetrized copy
+        # made this 3.02 tables.
+        T = 800
+        G = rng.normal(size=(T, T))
+        K = G @ G.T / T + np.eye(T)
+        assert _traced_peak(lambda: rf.build_general(np.zeros(T), K, np.ones(T))) <= 2.05 * K.nbytes
+
+    def test_vector_build_holds_three_tables(self, rng):
+        # The mirror, its flat copy and the Cholesky factor; check_psd's copy made this 4.02 tables.
+        T, n = 400, 2
+        G = rng.normal(size=(T * n, T * n))
+        K = G @ G.T / T + np.eye(T * n)
+        blocks = np.ascontiguousarray(K.reshape(T, n, T, n).transpose(0, 2, 1, 3))
+        assert _traced_peak(lambda: rf.build_vector_model(np.zeros((T, n)), blocks, np.ones((T, 1, n)))) <= (
+            3.05 * K.nbytes)
+
+
 def _build_correlated(K, C):
     """A vector model from flat (Tn, Tn) signal and (Tn, Tm) cross tables, n = 2, m = 1."""
     T = len(K) // 2

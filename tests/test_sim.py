@@ -1,5 +1,7 @@
 import contextlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -608,6 +610,59 @@ def test_reduction_holds_no_batch_sized_temporary(n_paths):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * workers * 8 * (chunk * (width + T) + 2 * (1 << 15))
+
+
+@pytest.mark.parametrize("n_paths, bound", [
+    # Two workers, each with 1 MB of z and e for 1,672 paths and 0.5 MB of weights.
+    pytest.param(4 << 15, 3.5e6, id="4-batches"),
+    pytest.param(1 << 15, 1.8e6, id="1-batch"),
+])
+def test_traced_peak_of_a_comparison(monkeypatch, n_paths, bound):
+    # A thread pool whose workers held 16-tile chunks beside the idle calling thread peaked at 5.3 and 2.7 MB.
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+    leg, rn = (ar1_config(T=25, mu=0.2, n_paths=n_paths, seed=67, kind=kind) for kind in ("leg", "risk_neutral"))
+    rf.compare_filters(leg, rn)  # imports and first-use set-up outside the trace
+    tracemalloc.start()
+    try:
+        rf.compare_filters(leg, rn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_several_batches_start_one_thread_besides_the_caller(monkeypatch):
+    monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    estimate = rf.estimate_risk(ar1_config(T=25, mu=0.2, n_paths=4 << 15, seed=67))
+    assert len(estimate.batch_sums) == 4
+    assert len(started) == 1
+
+
+def test_several_batches_import_no_executor():
+    # concurrent.futures also imports logging; plain threads import neither.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import rsfilt as rf\n"
+        "from rsfilt import sim\n"
+        "sim._available_cpus = lambda: 2\n"
+        "model = rf.build_ar1(0.9, 1.0, 0.0, 1.0, 25)\n"
+        "config = rf.ExperimentConfig(model=model, risk=rf.RiskSpec(mu=0.2, Q=np.ones(25)), n_paths=4 << 15)\n"
+        "assert len(rf.estimate_risk(config).batch_sums) == 4\n"
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("compare, workers", [
