@@ -27,7 +27,7 @@ from .errors import (
     TransformDiverges,
 )
 from .model import _finite, model_from_config, risk_from_config, sample_paths, seed_from_config
-from .volterra import solve_volterra
+from .volterra import _weights, solve_volterra
 
 FILTER_CSV_COLUMNS = ("t", "Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde")
 
@@ -169,7 +169,7 @@ def _cmd_validate(args) -> int:
         "correlated_noise": model.cross_cov is not None,
     }
     if model.is_scalar:
-        summary["S"] = risk.s_values(model.gains1)
+        summary["S"] = _weights(risk, model.gains1)  # raises at a step where S_t overflows, as the solves do
     _emit(args, {"valid": True, "resolved": summary})
     return 0
 

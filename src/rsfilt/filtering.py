@@ -19,6 +19,7 @@ from .model import GaussianModel, RiskSpec, _as_sequence
 from .volterra import (
     COND_LIMIT,
     FEAS_TOL,
+    OVERFLOW,
     VolterraSolution,
     ar1_riccati,
     ma1_gamma,
@@ -74,45 +75,31 @@ class AffineFilter:
         return {"intercept": self.intercept.tolist(), "gains": self.gains.tolist()}
 
 
-def _lower_solve(gbar, w, d, R, B):
+def _lower_solve(rows, w, d, R, B):
     """Forward substitution for X_t = (R_t + sum_{l<t} gbar(t,l) (B_l - w_l X_l)) / d_t.
 
-    This is the lower-triangular system (diag(d) + Gs diag(w)) X = R + Gs B,
-    Gs the strict lower triangle of gbar. ``gbar`` is a (T, T) table or the
-    rows gbar(t, :t) of one, such as a solution's ``_rows()``; each is read
-    once. R and B are (T,) or (T, k). One path with no zero d_t runs its
-    scalar steps in Python floats, which round as numpy's do; only its dot
-    product per step stays a numpy call.
+    This is the lower-triangular system (diag(d) + Gs diag(w)) X = R + Gs B, Gs the strict lower
+    triangle of gbar, whose rows gbar(t, :t) ``rows`` yields in order, as a solution's ``_rows()``
+    does; each is read once. R and B have the horizon on the last axis and paths on leading axes,
+    broadcast together. A batch is solved as (T, k) columns; one path as (T,) vectors, one dot
+    product per step. An overflow propagates as inf or nan, as IEEE arithmetic has it.
     """
-    if isinstance(gbar, np.ndarray):
-        gbar = (row[:t] for t, row in enumerate(gbar))
-    X = np.array(R, dtype=float, order="C")
-    E = np.array(B, dtype=float, order="C")  # rows l < t hold B_l - w_l X_l
-    if X.ndim == 1 and np.all(d):  # a zero d_t divides as numpy does, below
-        x, b = X.tolist(), E.tolist()
-        for t, (g, wt, dt) in enumerate(zip(gbar, w.tolist(), d.tolist())):
-            x[t] = (x[t] + float(g @ E[:t])) / dt
-            E[t] = b[t] - wt * x[t]
-        return np.array(x)
-    for t, g in enumerate(gbar):
+    paths = np.broadcast_shapes(np.shape(R), np.shape(B))
+    X, E = (np.array(np.broadcast_to(a, paths).reshape(-1, len(d)).T, dtype=float, order="C") for a in (R, B))
+    if len(paths) == 1:
+        X, E = X[:, 0], E[:, 0]
+    for t, g in enumerate(rows):  # rows l < t of E hold B_l - w_l X_l
         X[t] = (X[t] + g @ E[:t]) / d[t]
         E[t] -= w[t] * X[t]
+    return X.T.reshape(paths)
+
+
+def _finite_steps(X, what):
+    """X, after raising at the first step where some path's X_t is not finite: a solve that overflowed,
+    run under ``np.errstate`` so that it fails here, at its step, and without a warning."""
+    for step in np.flatnonzero(~np.isfinite(X).reshape(-1, X.shape[-1]).all(axis=0))[:1] + 1:
+        raise SingularInnovationMatrix(f"{what} at step {step} {OVERFLOW}", step=int(step))
     return X
-
-
-def _solve_paths(gbar, w, d, R, B):
-    """``_lower_solve`` for R and B with the horizon on the last axis and paths on leading axes.
-
-    One path goes in as (T,) vectors, so each step is one dot product; a batch goes in as (T, k) columns.
-    """
-    shape = np.broadcast_shapes(np.shape(R), np.shape(B))
-    T = len(d)
-
-    def columns(a):
-        a = np.broadcast_to(a, shape)
-        return a if a.ndim == 1 else a.reshape(-1, T).T
-
-    return _lower_solve(gbar, w, d, columns(R), columns(B)).T.reshape(shape)
 
 
 def _innovation(A, g):
@@ -164,9 +151,9 @@ def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution 
         return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
     sol = _scalar_solution(model, risk, solution)
     A, g = model.gains1, sol.diag
-    R = np.column_stack([model.mean1, np.diag(A * g)])
-    B = np.column_stack([np.zeros(model.horizon), np.diag(A)])
-    cF = _lower_solve(sol._rows(), A**2, _innovation(A, g), R, B)
+    R = np.vstack([model.mean1, np.diag(A * g)])  # the intercept's path, then one path per gain column
+    B = np.vstack([np.zeros(model.horizon), np.diag(A)])
+    cF = _lower_solve(sol._rows(), A**2, _innovation(A, g), R, B).T
     return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
 
 
@@ -175,15 +162,16 @@ def leg_filter(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSoluti
 
     Solves the system of ``leg_affine`` for the given paths. Pass a
     precomputed feasible ``solution`` to amortize the covariance recursion
-    across many paths.
+    across many paths. An estimate that overflows raises ``SingularInnovationMatrix`` at its step.
     """
     model._require_scalar()
     sol = _scalar_solution(model, risk, solution)
     Y = _check_horizon(Y, model.horizon)
     A, g = model.gains1, sol.diag
     one = _innovation(A, g)
-    h = _solve_paths(sol._rows(), A**2, one, model.mean1 + A * g * Y, A * Y)
-    return _filter_run(h, A, g, one, sol.S, risk.mu, Y)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails at its step, below
+        h = _lower_solve(sol._rows(), A**2, one, model.mean1 + A * g * Y, A * Y)
+    return _filter_run(_finite_steps(h, "filter estimate h_t"), A, g, one, sol.S, risk.mu, Y)
 
 
 def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None) -> np.ndarray:
@@ -203,7 +191,9 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
     denom = 1.0 + sol.S * sol.diag
     wq = risk.mu * risk.q_vector() / denom
     wa = A / denom
-    return _solve_paths(sol._rows(), A * wa - wq, np.ones(T), m, wa * Y - wq * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails at its step, below
+        Z = _lower_solve(sol._rows(), A * wa - wq, np.ones(T), m, wa * Y - wq * h)
+    return _finite_steps(Z, "centering sequence Z_t")
 
 
 def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution):
@@ -221,10 +211,12 @@ def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSol
     g = solution.diag
     wq = risk.mu * risk.q_vector() / (1.0 + solution.S * g)
     one = _innovation(A, g)
-    Zt = _solve_paths(solution._rows(), A**2 - wq, one, m + A * g * Y, A * Y - wq * h)
-    Zt_alg = (Z + A * g * Y) / one
-    err = float(np.max(np.abs(Zt - Zt_alg) / np.maximum(1.0, np.abs(Zt_alg))))
-    if err > ZTILDE_RAISE_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails at its step, below
+        Zt = _lower_solve(solution._rows(), A**2 - wq, one, m + A * g * Y, A * Y - wq * h)
+        Zt_alg = (Z + A * g * Y) / one
+        err = float(np.max(np.abs(Zt - Zt_alg) / np.maximum(1.0, np.abs(Zt_alg))))
+    _finite_steps(Zt, "filtered centering sequence Z~_t")
+    if not err <= ZTILDE_RAISE_TOL:  # a nan residual fails too
         raise InconsistentRecursion(
             f"direct and algebraic centering sequences disagree by {err:.3e}"
         )
@@ -234,7 +226,8 @@ def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSol
 def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None):
     """Filtered variant of the centering sequence plus its variance sequence.
 
-    Raises ``InconsistentRecursion`` when its two routes (see ``_centering``) disagree.
+    Raises ``InconsistentRecursion`` when its two routes (see ``_centering``) disagree or their residual
+    is not finite, and ``SingularInnovationMatrix`` at the first step where a solve overflows.
     """
     model._require_scalar()
     sol = _scalar_solution(model, risk, solution)

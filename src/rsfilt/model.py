@@ -220,37 +220,33 @@ class Trajectory:
 
 
 def _schur_certificate(model: GaussianModel) -> bool:
-    """Whether one Cholesky factorization passes both covariance checks of a correlated model.
+    """Whether one Cholesky factorization passes every covariance check of the model's build.
 
-    K is the flat signal table, exactly symmetric, C the flat cross-covariance and s = 0.5 PSD_TOL
-    max(tr K, 1). Cholesky of K - CC' + sI succeeds only if K - CC' has no eigenvalue below -s
-    minus its backward error, at most (N + 1) u tr(K - CC' + sI), far below the other half of the
-    tolerance, as in ``check_psd``. Then K, which is at least K - CC', passes the signal-table
-    check; and the joint [[K, C], [C', I]] passes the joint check, its tolerance scale tr K + Tm
-    being the larger: shifted by s, its Schur complement K + sI - CC'/(1 + s) is at least
-    K - CC' + sI, so the shifted joint is PSD (Haynsworth inertia; Boyd & Vandenberghe, Convex
-    Optimization, A.5.5). Neither needs C lower-triangular, which is checked on its own between
-    the two. False when ``cross_cov`` is absent or misshapen, when K or C is not finite, or when
-    the factorization fails; the two checks then decide.
+    K is the flat signal table, exactly symmetric, C the flat cross-covariance (zero if absent) and
+    s = 0.5 PSD_TOL max(tr K, 1). Cholesky of K - CC' + sI succeeds only if K - CC' has no eigenvalue
+    below -s minus its backward error, at most (N + 1) u tr(K - CC' + sI), far below the other half of
+    the tolerance, as in ``check_psd``. Then K, which is at least K - CC', passes the signal-table check;
+    and the joint [[K, C], [C', I]] passes the joint check, its tolerance scale tr K + Tm being the
+    larger: shifted by s, its Schur complement K + sI - CC'/(1 + s) is at least K - CC' + sI, so the
+    shifted joint is PSD (Haynsworth inertia; Boyd & Vandenberghe, Convex Optimization, A.5.5). Neither
+    needs C lower-triangular, which is checked on its own between the two. With no cross table K itself
+    is shifted in place and restored. False when K or C is not finite or C is misshapen, or when the
+    factorization fails; the checks then decide.
     """
     T, n, m = model.horizon, model.n, model.m
-    C = model.cross_cov
-    if C is None or C.shape != (T, T, n, m) or not (np.isfinite(C).all() and np.isfinite(model.cov).all()):
+    C, K = model.cross_cov, model.flat_cov()
+    if not np.isfinite(K).all() or C is not None and (C.shape != (T, T, n, m) or not np.isfinite(C).all()):
         return False
-    K, Cf = model.flat_cov(), model.flat_cross()
-    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
-        shift = 0.5 * PSD_TOL * max(float(np.trace(K)), 1.0)
-        S = Cf @ Cf.T
-        np.subtract(K, S, out=S)  # K may be a view of the model's table
-        S[np.diag_indices_from(S)] += shift
-    del K, Cf  # released before the Cholesky factor
-    if not np.isfinite(S).all():
-        return False
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    scale = np.maximum(np.trace(K), 1.0)
+    if C is not None:
+        Cf = model.flat_cross()
+        with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow
+            S = Cf @ Cf.T
+            K = np.subtract(K, S, out=S)  # K may be a view of the model's table
+        del Cf  # released before the Cholesky factor
+        if not np.isfinite(K).all():
+            return False
+    return _factors_above_floor(K, scale)
 
 
 def _joint_signal_noise_cov(model: GaussianModel) -> np.ndarray:
@@ -376,14 +372,9 @@ def build_vector_model(m, K, A, K_Xeps=None) -> GaussianModel:
             worst_eigenvalue=float(diag_vars.min()),
         )
     model = GaussianModel(mean=m, cov=cov, gains=A, cross_cov=C)
-    certified = _schur_certificate(model)
+    certified = _schur_certificate(model)  # else check_psd gives the verdict and message
     if not certified:
-        # The flat table is a view of cov for n = 1 and a fresh copy for n > 1, exactly symmetric by
-        # construction, so it factors as check_psd's symmetrized copy would; only a table that is not
-        # finite or fails to factor goes to check_psd for the verdict and message.
-        flat = model.flat_cov()
-        if not (np.isfinite(flat).all() and _factors_above_floor(flat, np.maximum(np.trace(flat), 1.0))):
-            check_psd(flat, "signal covariance table")
+        check_psd(model.flat_cov(), "signal covariance table")
     if C is not None:
         if C.shape != (T, T, n, m_obs):
             raise DimensionMismatch(

@@ -59,16 +59,7 @@ class VolterraSolution:
 
     def __init__(self, gamma_bar, S, mu, feasible, first_violation=None, violated_clause=None):
         table = np.asarray(gamma_bar)
-        self._fill(_pack(table, first_violation or len(table)), S, mu, feasible, first_violation, violated_clause)
-
-    @classmethod
-    def _from_rows(cls, *values) -> "VolterraSolution":
-        """The solution with these field values, packed rows first, built without a table."""
-        sol = cls.__new__(cls)
-        sol._fill(*values)
-        return sol
-
-    def _fill(self, *values):
+        values = (_pack(table, first_violation or len(table)), S, mu, feasible, first_violation, violated_clause)
         for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
 
@@ -190,7 +181,7 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
         if not feasible:
             break
         w[s] = Sf[s] / denom
-    return VolterraSolution._from_rows(_pack(gam, violation or T), S, risk.mu, feasible, violation, clause)
+    return VolterraSolution(gam, S, risk.mu, feasible, violation, clause)
 
 
 def solve_volterra_matrix(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
@@ -260,7 +251,7 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
 
     del U, W, C  # released before the rows are packed
     blocks = gam.reshape(T, n, T, n).transpose(0, 2, 1, 3)  # blocks[t, l] = gbar(t, l)
-    return VolterraSolution._from_rows(_pack(blocks, violation or T), S, risk.mu, violation is None, violation, clause)
+    return VolterraSolution(blocks, S, risk.mu, violation is None, violation, clause)
 
 
 def _pack(table, k):

@@ -85,6 +85,28 @@ def test_vanishing_innovation_exits_2_at_its_step(tmp_path, capsys):
     assert out.out == "" and "step 1" in out.err and "1 + A_t^2 gamma_bar_t" in out.err
 
 
+OVERFLOWING_AR1 = {"model": {"kind": "ar1", "a": 2.0, "D": 1e300, "x0": 0.1, "A": 1.0, "T": 5},
+                   "risk": {"mu": -1.0, "Q": 1.0}}
+
+
+@pytest.mark.parametrize("cfg, argv, what", [
+    # A_1 gbar_1 Y_1 is about 1e300 x 1e150: h_1 would read -inf and every later step nan. Then S_t = A_t^2 - mu Q_t
+    # overflows at step 1, through mu Q_t or through A_t^2.
+    *(pytest.param(OVERFLOWING_AR1, argv, "filter estimate h_t", id="-".join(argv)) for argv in (
+        ["filter"], ["filter", "--format", "csv"], ["filter", "--mu", "0"], ["cm"], ["cm", "--format", "csv"])),
+    pytest.param({**OVERFLOWING_AR1, "risk": {"mu": 1e308, "Q": 1e308}}, ["validate"], "S_t", id="validate-weight"),
+    pytest.param({"model": {"kind": "general", "m": [0.0, 0.0], "K": [[1.0, 0.0], [0.5, 1.0]], "A": [1e160, 1e160]}},
+                 ["validate"], "S_t", id="validate-gain"),
+])
+def test_overflow_exits_2_at_its_step(tmp_path, capsys, cfg, argv, what):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run([*argv, "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"numerical failure: {what} at step 1 overflows double precision\n"
+    assert not re.search("nan|inf", out.out, re.IGNORECASE)
+
+
 def test_filter_does_not_mutate_config(config_path):
     before = Path(config_path).read_text()
     run(["filter", "--config", config_path])

@@ -172,7 +172,7 @@ def test_one_path_matches_its_row_of_a_batch(rng):
 
 
 def numpy_scalar_lower_solve(gbar, w, d, R, B):
-    """The one-path loop in numpy scalars that the Python-float steps replaced, kept as their reference."""
+    """The one-path loop in numpy scalars on a dense table, kept as the reference of the one-path solve."""
     X = np.array(R, dtype=float)
     E = np.array(B, dtype=float)
     for t in range(len(d)):
@@ -194,7 +194,7 @@ def test_one_path_python_floats_match_numpy_scalars(rng, T, edge):
         d[T // 2] = 0.0
     with np.errstate(all="ignore"):
         want = numpy_scalar_lower_solve(gbar, w, d, R, B)
-        got = rf.filtering._lower_solve(gbar, w, d, R, B)
+        got = rf.filtering._lower_solve((row[:t] for t, row in enumerate(gbar)), w, d, R, B)
     if edge in ("none", "signed zeros and subnormals"):
         assert got.tobytes() == want.tobytes()
     else:
@@ -211,7 +211,8 @@ def test_packed_rows_solve_as_the_table(rng, T):
     A, g = model.gains1, sol.diag
     for Y in (rng.normal(size=T), rng.normal(size=(4, T))):
         args = (A**2, 1.0 + A**2 * g, model.mean1 + A * g * Y, A * Y)
-        got, want = rf.filtering._solve_paths(sol._rows(), *args), rf.filtering._solve_paths(sol.gamma_bar, *args)
+        table_rows = (row[:t] for t, row in enumerate(sol.gamma_bar))
+        got, want = rf.filtering._lower_solve(sol._rows(), *args), rf.filtering._lower_solve(table_rows, *args)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -664,3 +666,16 @@ class TestStackedCriterion:
                 assert str(got.value) == str(exc)
                 raised += 1
         assert raised > 0
+
+
+def test_oracle_imports_no_recursive_kernel():
+    # The oracle is the reference the recursions are tested against: from their modules it may take the
+    # filter's affine form, to evaluate a given filter, and one conditioning limit, nothing else.
+    taken = set()  # "module.name" per imported name, the module's last component; "module." per import
+    for node in ast.walk(ast.parse(Path(rf.oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            taken |= {f"{(node.module or '').rsplit('.', 1)[-1]}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            taken |= {alias.name.rsplit(".", 1)[-1] + "." for alias in node.names}
+    kernels = {name for name in taken if {"volterra", "filtering"} & set(name.split("."))}
+    assert kernels == {"volterra.COND_LIMIT", "filtering.AffineFilter", "filtering.leg_affine"}

@@ -492,9 +492,10 @@ class TestMatchesLegacyLoop:
 
 
 class TestChunkedBatches:
-    # T = 25 makes tiles of 209 paths: batches of 4096 end in a ragged chunk of 1 tile (209 paths), of 3
-    # tiles (627) and of the default 16 (3,344), and the last batch, 1000 paths, is shorter than one chunk.
-    # One batch of 3000 paths runs on the calling thread and is one chunk by default.
+    # T = 25 makes tiles of 209 paths. Batches of 4096 run as chunks of 1 tile (209 paths), of 3 tiles (627) or
+    # of the default 8 (1,672), each ending in a ragged chunk: by default 1,672, 1,672 and 752 paths, the last
+    # 3 tiles and 125 paths. The last batch, 1000 paths, is shorter than one chunk. One batch of 3000 paths
+    # runs on the calling thread as two chunks by default, 1,672 and 1,328 paths.
     @pytest.mark.parametrize("criterion, mu, n_paths, batch_size", [
         pytest.param("exponential", -1.0, 3 * 4096 + 1000, 4096, id="exponential--1.0"),
         pytest.param("exponential", 0.2, 3 * 4096 + 1000, 4096, id="exponential-0.2"),
