@@ -94,11 +94,15 @@ def cm_decompose(model: GaussianModel, risk: RiskSpec, Y, h,
     step_exponent = 0.5 * mu * Q * one_bar / (1.0 + S * gbar) * (h - Zt) ** 2
 
     diff = Z - predictor
+    with np.errstate(over="ignore"):  # where the product overflows, divide by the larger factor, then the smaller
+        both = one_bar * one_rn
+    split = np.isinf(both)
     step_log_M = (
         0.5 * (np.log(one_rn) - np.log(one_bar))
         + A / one_bar * diff * nu
         - 0.5 * A**2 / one_bar * diff**2
-        - 0.5 * A**2 * (gamma - gbar) * nu**2 / (one_bar * one_rn)
+        - 0.5 * A**2 * (gamma - gbar) * nu**2 / np.where(split, np.maximum(one_bar, one_rn), both)
+        / np.where(split, np.minimum(one_bar, one_rn), 1.0)
     )
 
     log_M = np.cumsum(step_log_M, axis=-1)

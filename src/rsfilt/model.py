@@ -406,7 +406,8 @@ def _lagged_noise_model(K_signal, K_noise, alpha, beta, b) -> GaussianModel:
     A[:, 0, 0] = alpha
     A[:, 0, 1] = beta
     C = np.zeros((T, T, 2, 1))
-    C[:, :, 1, 0] = np.tril(b ** np.abs(np.subtract.outer(np.arange(T), np.arange(T)) - 1), -1)
+    lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)) - 1)  # |t - 1 - s|
+    C[:, :, 1, 0] = np.tril((b ** np.arange(T + 1))[lag], -1)  # one power per lag
     return build_vector_model(np.zeros((T, 2)), K, A, C)
 
 
@@ -440,7 +441,7 @@ def build_ar1_noise(a, b, alpha, beta, T) -> GaussianModel:
     for t in range(1, T + 1):
         v[t] = b**2 * v[t - 1] + 1.0
     lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))  # |t - s|
-    noise = np.tril(b**lag * v[:T])  # Cov(eps_{t-1}, eps_{s-1})
+    noise = np.tril((b ** np.arange(T))[lag] * v[:T])  # Cov(eps_{t-1}, eps_{s-1}); one power per lag
     return _lagged_noise_model(_ar1_table(a, np.ones(T)), noise, alpha, beta, b)
 
 

@@ -215,7 +215,7 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     Qp = -risk.mu * risk.q_blocks(n)  # finite where S is
     lam, vecs = np.linalg.eigh(0.5 * Qp + 0.5 * Qp.transpose(0, 2, 1))
     keep = np.abs(lam) > FEAS_TOL * np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1.0)
-    r, negative = m + keep.sum(axis=1), np.count_nonzero(keep & (lam < 0), axis=1)
+    r, negative = (m + keep.sum(axis=1)).tolist(), np.count_nonzero(keep & (lam < 0), axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")  # kept rows first, still ascending: H_s = H[s, :r_s]
     lam, vecs = np.take_along_axis(lam, order, 1), np.take_along_axis(vecs, order[:, None, :], 2)
     H = np.concatenate([model.gains, lam[:, :, None] * vecs.transpose(0, 2, 1)], axis=1)
@@ -224,7 +224,7 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
     D = E + E.transpose(0, 2, 1) + np.eye(m + n) * np.concatenate([np.ones((T, m)), lam], axis=1)[:, None, :]
 
     gam = model.flat_cov().copy()  # column s becomes gbar's at step s; the blocks above it are not read
-    U = np.zeros((T * n, int(r.sum())))  # U_l, l < s
+    U = np.zeros((T * n, sum(r)))  # U_l, l < s
     W = np.zeros_like(U)  # U_l V_l^{-1}
     violation, clause, first, gs, Vs, off = None, None, 0, [], [], 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked panel by panel
@@ -256,21 +256,9 @@ def solve_volterra_correlated(model: GaussianModel, risk: RiskSpec) -> VolterraS
 
 def _pack(table, k):
     """Rows of the lower triangle of a (T, T) table's or (T, T, n, n) blocks' k leading columns, packed in
-    row order: row t, gbar(t, 0..min(t, k - 1)), starts at ``_offset(t, k)``. Copied 16 rows at a time,
-    so the copy's temporaries are about 16 / T of a table."""
-    T, R = len(table), 16
-    rows = np.empty((_offset(T, k),) + table.shape[2:])
-    tri = np.tri(R, T + k, T, dtype=bool)  # tri[i, T - p + l] is l <= p + i: row p + i's columns
-    for p in range(0, T, R):
-        q = min(p + R, T)
-        rows[_offset(p, k) : _offset(q, k)] = table[p:q, :k][tri[: q - p, T - p : T - p + k]]
-    return rows
-
-
-def _offset(t, k):
-    """Start of row t in packed rows of k columns: t (t + 1) / 2 up to row k, then k further per row."""
-    j = min(t, k)
-    return j * (j + 1) // 2 + (t - j) * k
+    row order: row t, gbar(t, 0..min(t, k - 1)). One concatenation of the row views, so the copy allocates
+    nothing beside the packed rows."""
+    return np.concatenate([table[t, : min(t + 1, k)] for t in range(len(table))], dtype=float)
 
 
 def _weights(risk: RiskSpec, gains: np.ndarray) -> np.ndarray:
@@ -286,13 +274,16 @@ def _check_panel(first, G, Vs, r, negative):
     """(step, clause) of the panel's first infeasible step (0-based ``first`` starts it), or (None, None); raises
     there if V_s is not finite or singular. Checks run in step order, one stacked ``eigvalsh`` per row count r_s."""
     # Zeros for the non-finite steps after a failure; a non-finite gbar_s fails V_s's finiteness check.
-    G = np.where(np.isfinite(G).all(axis=(1, 2))[:, None, None], 0.5 * G + 0.5 * G.transpose(0, 2, 1), 0.0)
+    G = 0.5 * G + 0.5 * G.transpose(0, 2, 1)  # halved first: a finite block stays finite
+    G[~np.isfinite(G).all(axis=(1, 2))] = 0.0
     codes = np.zeros(len(G), dtype=int)
-    for rs in np.unique(r):
-        idx = np.flatnonzero(r == rs)
+    for rs in set(r):
+        idx = [i for i, ri in enumerate(r) if ri == rs]
         V = np.array([Vs[i] for i in idx])
+        V = 0.5 * V + 0.5 * V.transpose(0, 2, 1)
         finite = np.isfinite(V).all(axis=(1, 2))
-        eig = np.linalg.eigvalsh(np.where(finite[:, None, None], 0.5 * V + 0.5 * V.transpose(0, 2, 1), 0.0))
+        V[~finite] = 0.0
+        eig = np.linalg.eigvalsh(V)
         # cond(V_s) = |eig|max / |eig|min catches V_s = 0 too. Feasibility counts inertia (Haynsworth):
         # V_s has as many nonpositive eigenvalues as the aux noise has negative variances, 1 + S gbar > 0
         # if scalar; unlike the sign of det V_s it sees two eigenvalues of I + S gbar turn negative at once.

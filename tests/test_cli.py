@@ -85,6 +85,19 @@ def test_vanishing_innovation_exits_2_at_its_step(tmp_path, capsys):
     assert out.out == "" and "step 1" in out.err and "1 + A_t^2 gamma_bar_t" in out.err
 
 
+@pytest.mark.filterwarnings("error")
+def test_cm_with_an_overflowing_innovation_product(tmp_path, capsys):
+    # 1 + A_t^2 gbar_t and 1 + A_t^2 gamma_t are both about 1e200: their product overflows, the CM term does not.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": "ar1", "a": 1.0, "D": 1e200, "x0": 0.1, "A": 1.0, "T": 4},
+                                "risk": {"mu": -1.0, "Q": 1.0}}))
+    assert run(["cm", "--config", str(path)]) == 0
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert out.err == "" and doc["step_log_M"] == [0.0] * 4 and doc["M"] == [1.0] * 4
+    assert all(math.isfinite(v) for key in ("log_I", "step_log_scale", "innovations") for v in doc[key])
+
+
 OVERFLOWING_AR1 = {"model": {"kind": "ar1", "a": 2.0, "D": 1e300, "x0": 0.1, "A": 1.0, "T": 5},
                    "risk": {"mu": -1.0, "Q": 1.0}}
 

@@ -257,6 +257,45 @@ class TestPresetTablesClosedForm:
         assert_rel_close(model.cross_cov, C)
 
 
+class TestLagTables:
+    """The presets index one power per lag, b ** k for k = 0, ..., T: their tables are the ones built from
+    b ** lag entry by entry, bit for bit."""
+
+    RANDOM_B = np.random.default_rng(30).uniform(-1, 1, 6).tolist()
+
+    @staticmethod
+    def _legacy(K_signal, K_noise, alpha, beta, b):
+        T = len(alpha)
+        K, A, C = np.zeros((T, T, 2, 2)), np.zeros((T, 1, 2)), np.zeros((T, T, 2, 1))
+        K[:, :, 0, 0], K[:, :, 1, 1] = K_signal, K_noise
+        A[:, 0, 0], A[:, 0, 1] = alpha, beta
+        C[:, :, 1, 0] = np.tril(b ** np.abs(np.subtract.outer(np.arange(T), np.arange(T)) - 1), -1)
+        return rf.build_vector_model(np.zeros((T, 2)), K, A, C)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for name in ("mean", "cov", "gains", "cross_cov"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("b", [-0.8, -0.5, -0.0, 0.0, 0.3, 0.8, *RANDOM_B])
+    @pytest.mark.parametrize("T", [1, 2, 100])
+    def test_ar1_noise(self, T, b):
+        a, alpha, beta = np.linspace(-0.9, 0.9, T), np.linspace(0.5, 1.5, T), 0.4
+        v = np.zeros(T + 1)
+        for t in range(1, T + 1):
+            v[t] = b**2 * v[t - 1] + 1.0
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        want = self._legacy(rf.model._ar1_table(a, np.ones(T)), np.tril(b**lag * v[:T]), alpha, beta, b)
+        self._assert_same_bits(rf.build_ar1_noise(a, b, alpha, beta, T), want)
+
+    @pytest.mark.parametrize("T", [1, 2, 100])
+    def test_ma1_observations(self, T):
+        alpha = np.linspace(0.5, 1.5, T)
+        want = self._legacy(rf.model._ma1_table(-0.6, T), np.eye(T), alpha, 0.4, 0.0)
+        self._assert_same_bits(rf.build_ma1_observations(-0.6, alpha, 0.4, T), want)
+
+
 class TestRiskSpec:
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeVariance):

@@ -482,6 +482,22 @@ class TestPackedRows:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert sol.to_dict() == ref.to_dict()
 
+    @pytest.mark.parametrize("T, n", [(100, 2), (800, None)])
+    @pytest.mark.parametrize("reached", ["all", "some"])
+    def test_pack_is_the_row_major_lower_triangle(self, T, n, reached):
+        # The correlated kernel packs a strided view of (T, T) blocks; the scalar kernel a (T, T) table.
+        rng = np.random.default_rng(T)
+        k = T if reached == "all" else T // 3
+        if n:
+            table = rng.normal(size=(T * n, T * n)).reshape(T, n, T, n).transpose(0, 2, 1, 3)
+        else:
+            table = rng.normal(size=(T, T))
+        want = table[:, :k][np.tri(T, k, dtype=bool)]
+        for given in (table, table[:, :k]):
+            got = rf.volterra._pack(given, k)
+            assert got.shape == want.shape == ((k * (k + 1) // 2 + (T - k) * k),) + table.shape[2:]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("step", [None, 5])
     @pytest.mark.parametrize("kernel", ["scalar", "correlated"])
     def test_writing_into_a_read_leaves_the_solution(self, kernel, step):
