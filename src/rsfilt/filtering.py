@@ -88,9 +88,10 @@ def _lower_solve(rows, w, d, R, B):
     X, E = (np.array(np.broadcast_to(a, paths).reshape(-1, len(d)).T, dtype=float, order="C") for a in (R, B))
     if len(paths) == 1:
         X, E = X[:, 0], E[:, 0]
+    w, d = np.asarray(w, dtype=float).tolist(), np.asarray(d, dtype=float).tolist()
     for t, g in enumerate(rows):  # rows l < t of E hold B_l - w_l X_l
-        X[t] = (X[t] + g @ E[:t]) / d[t]
-        E[t] -= w[t] * X[t]
+        X[t] = x = (X[t] + g @ E[:t]) / d[t]
+        E[t] -= w[t] * x
     return X.T.reshape(paths)
 
 

@@ -27,6 +27,9 @@ from .errors import (
 # Relative tolerances, scaled by the trace of the table they guard.
 PSD_TOL = 1e-10
 JITTER = 1e-12
+# Shortest Toeplitz table certified by Levinson-Durbin: the measured crossover with one Cholesky (2-vCPU Xeon,
+# OpenBLAS, fGn H = 0.75: 1.1 vs 1.1 ms at T = 256, 1.2 vs 1.5 ms at T = 300, 4.2 vs 16 ms at T = 800).
+_LEVINSON_MIN_T = 256
 
 
 def _as_sequence(x, T, name):
@@ -67,6 +70,23 @@ def _factors_above_floor(sym, scale) -> bool:
         return False
     finally:
         diag[...] = saved
+
+
+def _levinson_certifies(r, shift) -> bool:
+    """Whether Levinson-Durbin on the symmetric Toeplitz matrix with first row r, r_0 raised by shift, keeps every
+    prediction-error variance (its LDL' pivots) at least shift, in O(T^2) time and O(T) memory. A step that
+    overflows reads inf or nan, without a warning, and fails."""
+    a = np.zeros(len(r))  # a[:k], the order-k predictor's coefficients
+    E = r.item(0) + shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(r) - 1):
+            if not E >= shift:
+                return False
+            rho = -(r.item(k + 1) + float(a[:k] @ r[k:0:-1])) / E  # the reflection coefficient
+            a[:k] += rho * a[:k][::-1]
+            a[k] = rho
+            E *= 1.0 - rho * rho
+    return E >= shift
 
 
 def check_psd(mat, what):
@@ -232,12 +252,23 @@ def _schur_certificate(model: GaussianModel) -> bool:
     needs C lower-triangular, which is checked on its own between the two. With no cross table K itself
     is shifted in place and restored. False when K or C is not finite or C is misshapen, or when the
     factorization fails; the checks then decide.
+
+    A scalar table with no cross table, T >= ``_LEVINSON_MIN_T`` and exactly Toeplitz (K[1:, 1:] equal to
+    K[:-1, :-1]) is certified without the factorization if Levinson-Durbin on its first row, r_0 raised by s,
+    keeps every prediction-error variance E_k at least s. The E_k are the LDL' pivots of K + sI, so K has no
+    eigenvalue below -s in exact arithmetic. On positive definite Toeplitz matrices the recursion's rounding
+    errors are of the size of Cholesky's (Cybenko, SIAM J. Sci. Stat. Comput. 1(3), 1980), whose backward
+    error stays far below s, as above; where Cholesky asks its shifted pivots only to stay positive, each E_k
+    must clear zero by s. Otherwise the Cholesky runs, so this route never rejects a table or moves a message.
     """
     T, n, m = model.horizon, model.n, model.m
     C, K = model.cross_cov, model.flat_cov()
     if not np.isfinite(K).all() or C is not None and (C.shape != (T, T, n, m) or not np.isfinite(C).all()):
         return False
     scale = np.maximum(np.trace(K), 1.0)
+    if C is None and n == 1 and T >= _LEVINSON_MIN_T and np.array_equal(K[1:, 1:], K[:-1, :-1]):
+        if _levinson_certifies(K[0], 0.5 * PSD_TOL * float(scale)):
+            return True
     if C is not None:
         Cf = model.flat_cross()
         with np.errstate(over="ignore", invalid="ignore"):  # finite entries can still overflow

@@ -169,9 +169,10 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
             if p:
                 panel -= gam[p:, :p] @ (gam[p:q, :p] * w[:p]).T
         col = gam[s:, s]
-        col -= gam[s:, p:s] @ (gam[s, p:s] * w[p:s])
-        g = col[0]
-        denom = 1.0 + Sf[s] * float(g)  # Python floats overflow to inf without a warning
+        if s > p:  # a panel's first column has nothing to subtract
+            col -= gam[s:, p:s] @ (gam[s, p:s] * w[p:s])
+        g = col.item(0)
+        denom = 1.0 + Sf[s] * g  # Python floats overflow to inf without a warning
         if g < -FEAS_TOL:
             feasible, violation, clause = False, s + 1, CLAUSE_DIAG
         elif not math.isfinite(denom):

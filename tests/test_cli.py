@@ -85,6 +85,16 @@ def test_vanishing_innovation_exits_2_at_its_step(tmp_path, capsys):
     assert out.out == "" and "step 1" in out.err and "1 + A_t^2 gamma_bar_t" in out.err
 
 
+def test_negative_pivot_exits_2_at_its_step(tmp_path, capsys):
+    # The table passes validation (worst eigenvalue about -1e-10, floor -2e-10); the solve's step-2 pivot is about -2e-10.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"kind": "general", "m": [0.0, 0.0], "K": [[1.0, 0.0], [1.0, 1.0 - 2e-10]],
+                                          "A": [1.0, 1.0]}, "risk": {"mu": -1e12, "Q": 1.0}}))
+    assert run(["risk", "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "infeasible: step 2 violates gamma_bar_t >= 0\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_cm_with_an_overflowing_innovation_product(tmp_path, capsys):
     # 1 + A_t^2 gbar_t and 1 + A_t^2 gamma_t are both about 1e200: their product overflows, the CM term does not.

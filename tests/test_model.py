@@ -547,6 +547,18 @@ class TestSchurCertificate:
             tracemalloc.stop()
         assert peak <= 2.6 * K.nbytes
 
+    def test_schur_complement_that_overflows(self, monkeypatch):
+        # Finite K and C, but CC' = 1e400 overflows: the certificate declines and the checks decide (the joint
+        # check's trace-scaled shift, about 1e290, passes it).
+        K, C = np.diag([1e300, 1e300]), np.diag([1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = rf.build_vector_model(np.zeros(2), K, np.ones(2), C)
+            assert rf.model._schur_certificate(model) is False
+            monkeypatch.setattr(rf.model, "_schur_certificate", lambda model: False)
+            want = rf.build_vector_model(np.zeros(2), K, np.ones(2), C)
+        assert [m.cov.tobytes() + m.cross_cov.tobytes() for m in (model, want)] == [K.tobytes() + C.tobytes()] * 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["K", "C"])
     def test_non_finite_entries(self, monkeypatch, rng, bad, where):
@@ -558,6 +570,89 @@ class TestSchurCertificate:
         got = self.same_verdict(monkeypatch, K, C)
         table = "signal covariance table" if where == "K" else "joint signal/noise covariance"
         assert got[1] == f"{table} has entries that are not finite in double precision"
+
+
+def _toeplitz_outcome(K, route=True):
+    """(type, message, worst eigenvalue) of ``build_general`` on K, and whether the Levinson route certified it;
+    ``route=False`` builds with the route's helper patched to decline, so the dense Cholesky decides."""
+    calls = []
+    helper = rf.model._levinson_certifies
+
+    def spy(r, shift):
+        calls.append(helper(r, shift) if route else False)
+        return calls[-1]
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(rf.model, "_levinson_certifies", spy)
+        try:
+            rf.build_general(np.zeros(len(K)), K, np.ones(len(K)))
+            got = ("ok", None, None)
+        except NotPositiveSemidefinite as exc:
+            got = (type(exc).__name__, str(exc), exc.worst_eigenvalue)
+    return got, calls == [True]
+
+
+def _autocovariance(kind, T):
+    """First row of a stationary autocovariance table: fGn, AR(1) or MA(q)."""
+    k = np.arange(T, dtype=float)
+    if kind == "fgn":
+        return 0.5 * ((k + 1) ** 1.5 - 2 * k**1.5 + np.abs(k - 1) ** 1.5)
+    if kind == "ar1":
+        return 0.95**k / (1.0 - 0.95**2)
+    theta = np.array([1.0, 0.9, -0.5, 0.3])  # MA(3)
+    r = np.zeros(T)
+    r[:4] = [theta[: 4 - j] @ theta[j:] for j in range(4)]
+    return r
+
+
+def _toeplitz_at_floor(kind, T, factor):
+    """The kind's Toeplitz table with r_0 lowered so that its smallest eigenvalue is factor * PSD_TOL * trace;
+    ``factor=None`` leaves it as it is. Every diagonal entry is the same r_0, so the table stays exactly Toeplitz."""
+    r, lag = _autocovariance(kind, T), np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+    if factor is not None:
+        tol = factor * rf.model.PSD_TOL
+        r[0] -= (np.linalg.eigvalsh(r[lag])[0] - tol * T * r[0]) / (1.0 - tol * T)
+    return r[lag]
+
+
+class TestLevinsonRoute:
+    """Exactly Toeplitz scalar tables from _LEVINSON_MIN_T steps on are certified by Levinson-Durbin, or fall
+    back to the dense Cholesky; either way the build's verdict, message and worst eigenvalue are the dense route's."""
+
+    @pytest.mark.parametrize("T", [rf.model._LEVINSON_MIN_T, 400])
+    @pytest.mark.parametrize("kind", ["fgn", "ar1", "ma"])
+    @pytest.mark.parametrize("factor", [None, 3.0, 0.5, -0.49, -0.99, -1.01, -3.0])
+    def test_same_verdict_as_the_dense_certificate(self, kind, T, factor):
+        K = _toeplitz_at_floor(kind, T, factor)
+        got, certified = _toeplitz_outcome(K)
+        assert got == _toeplitz_outcome(K, route=False)[0]
+        assert got[0] == ("ok" if factor is None or factor > -1 else "NotPositiveSemidefinite")
+        if factor is None or factor >= 0.5:  # every pivot of K + sI is then at least its smallest eigenvalue, > s
+            assert certified
+
+    def test_other_tables_never_reach_the_recursion(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rf.model, "_levinson_certifies", lambda r, shift: calls.append(len(r)) or False)
+        T = rf.model._LEVINSON_MIN_T
+        short = _toeplitz_at_floor("fgn", T - 1, None)
+        rf.build_general(np.zeros(T - 1), short, np.ones(T - 1))
+        bent = _toeplitz_at_floor("fgn", T + 44, None)
+        bent[-1, -1] += 1e-9  # one diagonal entry off: no longer Toeplitz
+        rf.build_general(np.zeros(T + 44), bent, np.ones(T + 44))
+        K = _toeplitz_at_floor("ar1", T, None)
+        rf.build_vector_model(np.zeros(T), K, np.ones(T), 0.1 * np.eye(T))  # a cross table
+        rf.build_vector_model(np.zeros((T, 2)), K[:, :, None, None] * np.eye(2), np.ones((T, 1, 2)))  # n = 2
+        assert calls == []
+        rf.build_general(np.zeros(T), K, np.ones(T))
+        assert calls == [T]
+
+    def test_build_general_holds_one_table(self):
+        # The mirror and the 1/8-table boolean masks of the mirror, the finiteness and the Toeplitz tests; the dense
+        # certificate's Cholesky factor made this 2.01 tables.
+        T = 800
+        K = _toeplitz_at_floor("fgn", T, None)
+        assert _traced_peak(lambda: rf.build_general(np.zeros(T), K, np.ones(T))) <= 1.2 * K.nbytes
 
 
 class TestSampling:

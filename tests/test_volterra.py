@@ -251,6 +251,14 @@ def verdict(sol):
     return sol.feasible, sol.first_violation, sol.violated_clause
 
 
+def test_negative_pivot_inside_the_psd_floor():
+    # K's worst eigenvalue, about -1e-10, is inside check_psd's -2e-10 floor; at mu = -1e12 the step-2 pivot
+    # 1 - 2e-10 - (1 - 1/(1 + S_1)) is about -2e-10, below -FEAS_TOL.
+    model = rf.build_general([0.0, 0.0], [[1.0, 0.0], [1.0, 1.0 - 2e-10]], [1.0, 1.0])
+    risk = rf.RiskSpec(mu=-1e12, Q=np.ones(2))
+    assert verdict(rf.solve_volterra(model, risk)) == verdict(legacy_solve_volterra(model, risk)) == (False, 2, CLAUSE_DIAG)
+
+
 class TestPanelKernel:
     """The panel-blocked scalar solve against the column loop it replaced:
     same verdicts and exception steps, tables equal up to rounding."""
