@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, DomainError, SingularConditioning, Transf
 from .filtering import _centering, _innovation, leg_filter, z_h
 from .model import GaussianModel, RiskSpec, sample_paths
 from .oracle import _augment, _aux_correction, _schur, assemble_joint, log_expected_exp_quadratic
-from .volterra import VolterraSolution, solve_volterra
+from .volterra import VolterraSolution, _solution, solve_volterra
 
 SIGMA_FLOOR = 1e-14
 
@@ -69,13 +69,9 @@ def _risk_neutral_pass(model: GaussianModel, Y):
 def cm_decompose(model: GaussianModel, risk: RiskSpec, Y, h,
                  solution: VolterraSolution | None = None) -> CMDecomposition:
     """Evaluate the stepwise factorization for realized observations and estimates."""
-    model._require_scalar()
-    T = model.horizon
+    solution = _solution(solve_volterra, model, risk, solution)
     Y = np.asarray(Y, dtype=float)
     h = np.asarray(h, dtype=float)
-    if solution is None:
-        solution = solve_volterra(model, risk)
-    solution.require_feasible()
 
     A = model.gains1
     Q = risk.q_vector()
@@ -86,9 +82,7 @@ def cm_decompose(model: GaussianModel, risk: RiskSpec, Y, h,
     sol0, predictor, nu = _risk_neutral_pass(model, Y)
     gamma = sol0.diag
 
-    Z, Zt = _centering(model, risk, Y, h, solution)
-
-    one_bar = _innovation(A, gbar)
+    Z, Zt, one_bar = _centering(model, risk, Y, h, solution)
     one_rn = _innovation(A, gamma)
     step_log_scale = -0.5 * (np.log1p(S * gbar) - np.log(one_bar))
     step_exponent = 0.5 * mu * Q * one_bar / (1.0 + S * gbar) * (h - Zt) ** 2
@@ -128,8 +122,7 @@ def martingale_expectation_check(model: GaussianModel, risk: RiskSpec,
     The estimate sequence fed to the factorization is the optimal filter,
     which exercises every term of the martingale.
     """
-    model._require_scalar()
-    solution = solve_volterra(model, risk).require_feasible()
+    solution = _solution(solve_volterra, model, risk)
     _, Yb = sample_paths(model, seed, n_paths)
     Yb = Yb[:, :, 0]
     h = leg_filter(model, risk, Yb, solution=solution).h_bar
@@ -147,10 +140,8 @@ def exact_martingale_expectation(model: GaussianModel, risk: RiskSpec, filt) -> 
     nu_t) in Y, and log M_T = r0 - w'Dw/2 is a quadratic form in Y. The affine
     coefficients come from one batched pass over the paths [0; I_T].
     """
-    model._require_scalar()
-    T = model.horizon
-    solution = solve_volterra(model, risk).require_feasible()
-    A = model.gains1
+    solution = _solution(solve_volterra, model, risk)
+    T, A = model.horizon, model.gains1
     gbar = solution.diag
 
     # Row 0 of the batch gives w(0), row 1 + j gives w(0) + W e_j.

@@ -2,7 +2,7 @@
 
 Subcommands: validate, filter, risk, cm, simulate, compare, example-5-2.
 Exit codes: 0 success, 1 configuration error (with a field diagnostic),
-2 numerical infeasibility (reports the first violating step and clause).
+2 numerical failure (an infeasible recursion reports its first violating step and clause).
 """
 
 from __future__ import annotations
@@ -17,17 +17,9 @@ import sys
 import numpy as np
 
 from . import cameron_martin, filtering, oracle, sim
-from .errors import (
-    ConfigError,
-    DomainError,
-    FilteringError,
-    InfeasibleCondition,
-    OverflowDominated,
-    SingularInnovationMatrix,
-    TransformDiverges,
-)
+from .errors import ConfigError, DomainError, FilteringError, InfeasibleCondition
 from .model import _finite, model_from_config, risk_from_config, sample_paths, seed_from_config
-from .volterra import _weights, solve_volterra
+from .volterra import _solution, _weights, solve_volterra
 
 FILTER_CSV_COLUMNS = ("t", "Y", "h_bar", "Z_h", "Z_tilde", "gamma_bar", "gamma_tilde")
 
@@ -178,7 +170,7 @@ def _cmd_filter(args) -> int:
     cfg = _load_config(args.config)
     model, risk, seed = _resolve(cfg, args)
     Y, seed = _observations(cfg, model, seed)
-    solution = solve_volterra(model, risk).require_feasible()
+    solution = _solution(solve_volterra, model, risk)
     run = filtering.leg_filter(model, risk, Y, solution=solution)
     columns = (Y, run.h_bar, run.Z_h, run.Z_tilde, run.gamma_bar_diag, run.gamma_tilde)
     steps = dict(zip(FILTER_CSV_COLUMNS[1:], columns))
@@ -194,7 +186,7 @@ def _cmd_filter(args) -> int:
 def _cmd_risk(args) -> int:
     cfg = _load_config(args.config)
     model, risk, _ = _resolve(cfg, args)
-    solution = solve_volterra(model, risk).require_feasible()
+    solution = _solution(solve_volterra, model, risk)
     try:
         value = filtering.optimal_risk(solution, risk, model.gains1)
     except DomainError as exc:  # mu = 0
@@ -207,7 +199,7 @@ def _cmd_cm(args) -> int:
     cfg = _load_config(args.config)
     model, risk, seed = _resolve(cfg, args)
     Y, seed = _observations(cfg, model, seed)
-    solution = solve_volterra(model, risk).require_feasible()
+    solution = _solution(solve_volterra, model, risk)
     if "h" in cfg:
         h = _finite(cfg["h"], "h")
         if h.shape != (model.horizon,):
@@ -367,12 +359,9 @@ def run(argv) -> int:
             file=sys.stderr,
         )
         return 2
-    except (SingularInnovationMatrix, TransformDiverges, OverflowDominated) as exc:
+    except FilteringError as exc:  # once the config is accepted, any other library error is the computation's
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except FilteringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -21,6 +21,8 @@ from .volterra import (
     FEAS_TOL,
     OVERFLOW,
     VolterraSolution,
+    _require_fit,
+    _solution,
     ar1_riccati,
     ma1_gamma,
     solve_volterra,
@@ -52,12 +54,6 @@ def _check_horizon(Y, T):
     if Y.shape[-1] != T:
         raise DimensionMismatch(f"observation path has {Y.shape[-1]} steps, model has {T}")
     return Y
-
-
-def _scalar_solution(model, risk, solution) -> VolterraSolution:
-    if solution is None:
-        solution = solve_volterra(model, risk)
-    return solution.require_feasible()
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,12 @@ def _risk_value(mu, S, A, g) -> float:
 
 
 def optimal_risk(solution: VolterraSolution, risk: RiskSpec, A) -> float:
-    """Closed-form optimal value mu * prod_t [(1+S_t g_t)/(1+A_t^2 g_t)]^(-1/2)."""
+    """Closed-form optimal value mu * prod_t [(1+S_t g_t)/(1+A_t^2 g_t)]^(-1/2), for a ``solution`` solved with
+    the gains A and this risk."""
     if risk.mu == 0.0:
         raise DomainError(MU_ZERO)
-    solution.require_feasible()
-    A, g = np.asarray(A, dtype=float), solution.diag
+    A, g = _as_sequence(A, risk.horizon, "A"), solution.diag
+    _require_fit(solution, risk, A).require_feasible()
     _innovation(A, g)
     return _risk_value(risk.mu, solution.S, A, g)
 
@@ -143,14 +140,14 @@ def leg_affine(model: GaussianModel, risk: RiskSpec, solution: VolterraSolution 
     (t, component) order, as in ``flat_mean()``.
     """
     if not model.is_scalar or model.cross_cov is not None:
-        sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
+        sol = _solution(solve_volterra_correlated, model, risk, solution)
         T, n, m = model.horizon, model.n, model.m
         M = np.zeros((1 + T * m, T, n))
         M[0] = model.mean
         Y = np.eye(1 + T * m, T * m, k=-1).reshape(-1, T, m)
         cF = _block_solve(model, sol, M, Y).reshape(-1, T * n).T
         return AffineFilter(intercept=cF[:, 0], gains=cF[:, 1:])
-    sol = _scalar_solution(model, risk, solution)
+    sol = _solution(solve_volterra, model, risk, solution)
     A, g = model.gains1, sol.diag
     R = np.vstack([model.mean1, np.diag(A * g)])  # the intercept's path, then one path per gain column
     B = np.vstack([np.zeros(model.horizon), np.diag(A)])
@@ -165,8 +162,7 @@ def leg_filter(model: GaussianModel, risk: RiskSpec, Y, solution: VolterraSoluti
     precomputed feasible ``solution`` to amortize the covariance recursion
     across many paths. An estimate that overflows raises ``SingularInnovationMatrix`` at its step.
     """
-    model._require_scalar()
-    sol = _scalar_solution(model, risk, solution)
+    sol = _solution(solve_volterra, model, risk, solution)
     Y = _check_horizon(Y, model.horizon)
     A, g = model.gains1, sol.diag
     one = _innovation(A, g)
@@ -183,8 +179,11 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
     for the realized estimate sequence ``h``, solved as one unit
     lower-triangular system in Z.
     """
-    model._require_scalar()
-    sol = _scalar_solution(model, risk, solution)
+    return _z_h(model, risk, Y, h, _solution(solve_volterra, model, risk, solution))
+
+
+def _z_h(model: GaussianModel, risk: RiskSpec, Y, h, sol: VolterraSolution) -> np.ndarray:
+    """``z_h`` on ``sol`` as given, which its caller has passed through ``_solution``."""
     T = model.horizon
     Y = _check_horizon(Y, T)
     h = _check_horizon(h, T)
@@ -198,14 +197,16 @@ def z_h(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution |
 
 
 def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution):
-    """(Z_h, Z~) from one solve of each recursion.
+    """(Z_h, Z~, 1 + A_t^2 gbar_t) from one solve of each recursion and one ``_innovation`` check.
 
     Z~ solves the direct recursion (its l = t term is implicit) and is
-    checked against its algebraic map from Z_h; persistent disagreement
-    signals an indexing bug in the covariance table, not bad data.
+    checked against its algebraic map from Z_h. In exact arithmetic the two
+    routes agree for any lower-triangular table once S_t = A_t^2 - mu Q_t, so a
+    disagreement signals a solution with other weights S (which ``_solution``
+    rejects first), not an error in the table or bad data.
     """
     T = model.horizon
-    Z = z_h(model, risk, Y, h, solution=solution)
+    Z = _z_h(model, risk, Y, h, solution)
     Y = _check_horizon(Y, T)
     h = _check_horizon(h, T)
     A, m = model.gains1, model.mean1
@@ -221,7 +222,7 @@ def _centering(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSol
         raise InconsistentRecursion(
             f"direct and algebraic centering sequences disagree by {err:.3e}"
         )
-    return Z, Zt_alg
+    return Z, Zt_alg, one
 
 
 def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSolution | None = None):
@@ -230,11 +231,9 @@ def z_tilde(model: GaussianModel, risk: RiskSpec, Y, h, solution: VolterraSoluti
     Raises ``InconsistentRecursion`` when its two routes (see ``_centering``) disagree or their residual
     is not finite, and ``SingularInnovationMatrix`` at the first step where a solve overflows.
     """
-    model._require_scalar()
-    sol = _scalar_solution(model, risk, solution)
-    _, Zt = _centering(model, risk, Y, h, sol)
-    A, g = model.gains1, sol.diag
-    return Zt, np.broadcast_to(g / _innovation(A, g), Zt.shape).copy()
+    sol = _solution(solve_volterra, model, risk, solution)
+    _, Zt, one = _centering(model, risk, Y, h, sol)
+    return Zt, np.broadcast_to(sol.diag / one, Zt.shape).copy()
 
 
 def risk_neutral_filter(model: GaussianModel, Y) -> np.ndarray:
@@ -351,7 +350,7 @@ def filter_correlated(model: GaussianModel, risk: RiskSpec, Y, solution: Volterr
     the same bits in a batch as alone. ``h_bar`` has shape (..., T, n), or
     (..., T) for n = 1.
     """
-    sol = (solve_volterra_correlated(model, risk) if solution is None else solution).require_feasible()
+    sol = _solution(solve_volterra_correlated, model, risk, solution)
     T, n, m = model.horizon, model.n, model.m
     Y = np.asarray(Y, dtype=float)
     if Y.shape[-2:] != (T, m) and m == 1 and Y.shape[-1:] == (T,):

@@ -376,6 +376,8 @@ def _affine_criterion(model: GaussianModel, risk: RiskSpec, extra_x_weight=None)
     if model.m != 1:
         raise DimensionMismatch("affine-risk evaluation requires scalar observations")
     T, n, mu = model.horizon, model.n, risk.mu
+    if risk.horizon != T:
+        raise DimensionMismatch(f"risk weights have horizon {risk.horizon}, model has {T}")
     joint = assemble_joint(model)
     keep = np.concatenate([np.arange(T) * n, T * n + np.arange(T)])
     mean, cov = joint.mean[keep], joint.cov[np.ix_(keep, keep)]

@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown criterion {self.criterion!r}", field="criterion")
         if self.criterion == "exponential" and self.risk.mu == 0.0:
             raise ConfigError(MU_ZERO, field="risk.mu")
+        if self.risk.horizon != self.model.horizon:
+            raise ConfigError(f"risk weights have horizon {self.risk.horizon}, model has {self.model.horizon}",
+                              field="risk.Q")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":

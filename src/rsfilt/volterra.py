@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InconsistentRecursion,
     InfeasibleCondition,
     NegativeVariance,
     SingularInnovationMatrix,
@@ -153,8 +154,6 @@ def solve_volterra(model: GaussianModel, risk: RiskSpec) -> VolterraSolution:
     K = model.cov2
     T = model.horizon
     S = _weights(risk, model.gains1)
-    if S.shape != (T,):
-        raise DimensionMismatch(f"risk weights have horizon {S.shape[0]}, model has {T}")
 
     gam = np.empty((T, T))  # nothing above the diagonal is read or packed, so it is never cleared
     w = np.zeros(T)  # S_l / (1 + S_l * gbar_l)
@@ -262,8 +261,26 @@ def _pack(table, k):
     return np.concatenate([table[t, : min(t + 1, k)] for t in range(len(table))], dtype=float)
 
 
+def _solution(kernel, model: GaussianModel, risk: RiskSpec, solution=None) -> VolterraSolution:
+    """``solution``, or ``kernel(model, risk)`` when none is given, once it is feasible. A given solution must
+    carry the weights S_t that ``kernel`` forms for this model and risk (see ``_require_fit``)."""
+    if solution is None:
+        return kernel(model, risk).require_feasible()
+    return _require_fit(solution, risk, model.gains1 if kernel is solve_volterra else model.gains).require_feasible()
+
+
+def _require_fit(solution: VolterraSolution, risk: RiskSpec, gains) -> VolterraSolution:
+    """``solution``, after raising ``InconsistentRecursion`` unless its S is ``_weights(risk, gains)`` bit for bit."""
+    if not np.array_equal(solution.S, _weights(risk, gains)):
+        raise InconsistentRecursion("the solution was solved for other weights S_t than this model and risk give")
+    return solution
+
+
 def _weights(risk: RiskSpec, gains: np.ndarray) -> np.ndarray:
-    """S_t = A_t'A_t - mu Q_t, after raising at the first step where it is not finite."""
+    """S_t = A_t'A_t - mu Q_t, after raising if the risk's horizon is not the gains' or at the first step where
+    S_t is not finite."""
+    if risk.horizon != len(gains):
+        raise DimensionMismatch(f"risk weights have horizon {risk.horizon}, model has {len(gains)}")
     with np.errstate(over="ignore", invalid="ignore"):
         S = risk.s_values(gains)
     for step in np.flatnonzero(~np.isfinite(S).reshape(len(S), -1).all(axis=1))[:1] + 1:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import rsfilt as rf
 from rsfilt.errors import DimensionMismatch, DomainError, InconsistentRecursion
+from rsfilt.filtering import _centering
 
 from conftest import random_causal_h, random_scalar_model
 
@@ -232,6 +233,28 @@ class TestZTildeConsistencyGuard:
             rf.z_tilde(model, risk, Y, rng.normal(size=3), solution=corrupted)
         with pytest.raises(InconsistentRecursion):
             rf.cm_decompose(model, risk, Y, rng.normal(size=3), solution=corrupted)
+
+    def test_dual_routes_catch_weights_that_do_not_fit(self, rng):
+        # the gate rejects such a solution before either route runs, so the routes' own check is called directly
+        model = random_scalar_model(rng, 3)
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(3))
+        sol = rf.solve_volterra(model, risk)
+        corrupted = rf.VolterraSolution(gamma_bar=sol.gamma_bar, S=sol.S + 0.8, mu=sol.mu, feasible=True)
+        Y = rng.normal(size=3)
+        with pytest.raises(InconsistentRecursion, match="direct and algebraic centering sequences disagree"):
+            _centering(model, risk, Y, rng.normal(size=3), corrupted)
+
+    def test_dual_routes_agree_on_any_table_with_fitting_weights(self, rng):
+        # the identity between the routes holds for every lower-triangular table once S = A^2 - mu Q
+        model = random_scalar_model(rng, 5)
+        risk = rf.RiskSpec(mu=-0.8, Q=rng.uniform(0.2, 1.0, 5))
+        sol = rf.solve_volterra(model, risk)
+        G = sol.gamma_bar
+        for table in (G + np.tril(np.full((5, 5), 0.3), -1), G * 1.1, G + np.diag(np.diag(G))):
+            Y = rng.normal(size=5)
+            twisted = rf.VolterraSolution(gamma_bar=np.tril(table), S=sol.S, mu=sol.mu, feasible=True)
+            Z, Zt, one = _centering(model, risk, Y, random_causal_h(rng, Y), twisted)
+            assert np.array_equal(one, 1.0 + model.gains1**2 * twisted.diag)
 
     def test_cm_decompose_carries_the_public_sequences(self, rng):
         model = random_scalar_model(rng, 5)

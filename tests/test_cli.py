@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from rsfilt import cli
+from rsfilt import errors as rf_errors
 from rsfilt.cli import FILTER_CSV_COLUMNS, run
 
 
@@ -726,3 +727,47 @@ def test_integral_float_entries_write_the_integer_bytes(tmp_path, capsys):
         outputs.append(capsys.readouterr())
     assert '"T": 25.0' in p.read_text() and '"n_paths": 100' in outputs[1].out
     assert outputs[0] == outputs[1]
+
+
+# Validates (worst eigenvalue -5e-12, inside the -2e-10 PSD floor), but the sampler's joint factor fails.
+UNSAMPLEABLE_CONFIG = {
+    "model": {"kind": "general", "m": [0.0, 0.0], "K": [[1.0, 0.0], [1.0, 0.99999999999]], "A": 1.0},
+    "risk": {"mu": -1.0, "Q": 1.0},
+    "paths": 64,
+    "filters": [{"kind": "leg"}, {"kind": "risk_neutral"}],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb, code", [("validate", 0), ("risk", 0), ("filter", 2), ("cm", 2), ("simulate", 2),
+                                        ("compare", 2)])
+def test_a_covariance_the_sampler_cannot_factorize_exits_2(verb, code, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(UNSAMPLEABLE_CONFIG))
+    assert run([verb, "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("numerical failure: joint covariance could not be factorized: "
+                       "Matrix is not positive definite\n")
+
+
+def _filtering_errors(cls=rf_errors.FilteringError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _filtering_errors(sub)
+
+
+@pytest.mark.parametrize("error", list(_filtering_errors()), ids=lambda cls: cls.__name__)
+def test_every_library_error_inside_a_verb_exits_with_its_class(error, config_path, monkeypatch, capsys):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_resolve", fail)
+    code = run(["risk", "--config", config_path])
+    err = capsys.readouterr().err
+    if error is rf_errors.ConfigError:
+        assert (code, err) == (1, "config error: boom\n")
+    elif error is rf_errors.InfeasibleCondition:
+        assert (code, err) == (2, "infeasible: step None violates None\n")
+    else:
+        assert (code, err) == (2, "numerical failure: boom\n")

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import rsfilt as rf
 from rsfilt.errors import DomainError, InfeasibleCondition, SingularInnovationMatrix
+from rsfilt.errors import ConfigError, DimensionMismatch, InconsistentRecursion
 
 from conftest import fgn_kernel, random_causal_h, random_scalar_model
 
@@ -624,3 +625,160 @@ class TestZeroGainSteps:
         assert_allclose(ref.gains[:, 1], 0.0, atol=1e-7)
         assert_allclose(ref.gains[:, 3], 0.0, atol=1e-7)
         assert np.all(np.isfinite(run.h_bar))
+
+
+class TestSolutionGate:
+    """A passed ``solution=`` must be solved for the same model and risk; a risk must have the model's horizon."""
+
+    T = 6
+
+    def _scalar(self):
+        model = rf.build_ar1(0.9, 1.0, 0.2, 1.1, self.T)
+        return model, rf.RiskSpec(mu=-1.0, Q=np.ones(self.T)), np.linspace(-1.0, 1.0, self.T)
+
+    @staticmethod
+    def _scalar_calls(model, risk, Y, sol):
+        return {
+            "leg_filter": lambda: rf.leg_filter(model, risk, Y, solution=sol),
+            "leg_affine": lambda: rf.leg_affine(model, risk, solution=sol),
+            "z_h": lambda: rf.z_h(model, risk, Y, Y, solution=sol),
+            "z_tilde": lambda: rf.z_tilde(model, risk, Y, Y, solution=sol),
+            "cm_decompose": lambda: rf.cm_decompose(model, risk, Y, Y, solution=sol),
+            "info_state": lambda: rf.info_state(model, risk, Y, Y, 2, solution=sol),
+            "optimal_risk": lambda: rf.optimal_risk(sol, risk, model.gains1),
+        }
+
+    @pytest.mark.parametrize("call", ["leg_filter", "leg_affine", "z_h", "z_tilde", "cm_decompose", "info_state",
+                                      "optimal_risk"])
+    def test_solution_of_another_mu_is_rejected(self, call):
+        model, risk, Y = self._scalar()
+        other = rf.solve_volterra(model, rf.RiskSpec(mu=-3.0, Q=risk.Q))
+        assert other.feasible
+        with pytest.raises(InconsistentRecursion, match="other weights"):
+            self._scalar_calls(model, risk, Y, other)[call]()
+
+    @pytest.mark.parametrize("call", ["leg_filter", "leg_affine", "z_h", "z_tilde", "cm_decompose", "info_state",
+                                      "optimal_risk"])
+    def test_solution_of_another_horizon_is_rejected(self, call):
+        model, risk, Y = self._scalar()
+        longer = rf.build_ar1(0.9, 1.0, 0.2, 1.1, self.T + 1)
+        sol = rf.solve_volterra(longer, rf.RiskSpec(mu=-1.0, Q=np.ones(self.T + 1)))
+        with pytest.raises(InconsistentRecursion):
+            self._scalar_calls(model, risk, Y, sol)[call]()
+
+    def test_block_solution_on_the_scalar_path_is_rejected(self):
+        model, risk, Y = self._scalar()
+        block = rf.solve_volterra_correlated(model, risk)  # S is (T, 1, 1), the scalar kernel's is (T,)
+        with pytest.raises(InconsistentRecursion):
+            rf.leg_filter(model, risk, Y, solution=block)
+
+    @pytest.mark.parametrize("call", ["filter_correlated", "leg_affine"])
+    def test_vector_solution_of_another_horizon_or_mu_is_rejected(self, call):
+        model = rf.build_ar1_noise(0.7, 0.5, 1.0, 0.5, self.T)
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(self.T))
+        longer = rf.build_ar1_noise(0.7, 0.5, 1.0, 0.5, self.T + 1)
+        for sol in (rf.solve_volterra_correlated(longer, rf.RiskSpec(mu=-1.0, Q=np.ones(self.T + 1))),
+                    rf.solve_volterra_correlated(model, rf.RiskSpec(mu=-2.0, Q=np.ones(self.T)))):
+            run = {
+                "filter_correlated": lambda: rf.filter_correlated(model, risk, np.zeros(self.T), solution=sol),
+                "leg_affine": lambda: rf.leg_affine(model, risk, solution=sol),
+            }[call]
+            with pytest.raises(InconsistentRecursion):
+                run()
+        own = rf.solve_volterra_correlated(model, risk)
+        assert np.array_equal(rf.filter_correlated(model, risk, np.ones(self.T), solution=own).h_bar,
+                              rf.filter_correlated(model, risk, np.ones(self.T)).h_bar)
+
+    def test_infeasible_solution_still_fails_as_infeasible(self):
+        model = rf.build_ar1(1.0, 1.0, 0.0, 1.0, 3)
+        risk = rf.RiskSpec(mu=10.0, Q=np.ones(3))
+        sol = rf.solve_volterra(model, risk)
+        assert not sol.feasible
+        with pytest.raises(InfeasibleCondition):
+            rf.leg_filter(model, risk, np.zeros(3), solution=sol)
+        with pytest.raises(InfeasibleCondition):
+            rf.optimal_risk(sol, risk, model.gains1)
+
+    @pytest.mark.parametrize("length", [1, 3, 7])
+    @pytest.mark.parametrize("call", ["solve_volterra", "solve_volterra_correlated", "solve_volterra_vector",
+                                      "leg_filter", "leg_affine", "z_h", "z_tilde", "cm_decompose", "filter_correlated",
+                                      "exact_affine_risk", "exact_martingale_expectation"])
+    def test_risk_of_another_horizon_is_rejected(self, call, length):
+        model, _, Y = self._scalar()
+        vector = rf.build_ar1_noise(0.7, 0.5, 1.0, 0.5, self.T)
+        risk = rf.RiskSpec(mu=-1.0, Q=np.ones(length))
+        custom = rf.AffineFilter(intercept=np.zeros(self.T), gains=np.eye(self.T))
+        run = {
+            "solve_volterra": lambda: rf.solve_volterra(model, risk),
+            "solve_volterra_correlated": lambda: rf.solve_volterra_correlated(model, risk),
+            "solve_volterra_vector": lambda: rf.solve_volterra_correlated(vector, risk),
+            "leg_filter": lambda: rf.leg_filter(model, risk, Y),
+            "leg_affine": lambda: rf.leg_affine(model, risk),
+            "z_h": lambda: rf.z_h(model, risk, Y, Y),
+            "z_tilde": lambda: rf.z_tilde(model, risk, Y, Y),
+            "cm_decompose": lambda: rf.cm_decompose(model, risk, Y, Y),
+            "filter_correlated": lambda: rf.filter_correlated(vector, risk, Y),
+            "exact_affine_risk": lambda: rf.oracle.exact_affine_risk(model, risk, custom),
+            "exact_martingale_expectation": lambda: rf.cameron_martin.exact_martingale_expectation(model, risk, custom),
+        }[call]
+        with pytest.raises(DimensionMismatch, match=f"risk weights have horizon {length}, model has {self.T}"):
+            run()
+
+    def test_risk_of_another_horizon_with_a_solution_is_rejected(self):
+        model, risk, Y = self._scalar()
+        sol = rf.solve_volterra(model, risk)
+        short = rf.RiskSpec(mu=-1.0, Q=np.ones(self.T - 1))
+        with pytest.raises(DimensionMismatch, match="horizon"):
+            rf.leg_filter(model, short, Y, solution=sol)
+        with pytest.raises(DimensionMismatch, match="A must be scalar or length 5"):
+            rf.optimal_risk(sol, short, model.gains1)
+
+    @pytest.mark.parametrize("kind", ["leg", "risk_neutral", "custom"])
+    def test_experiment_of_another_horizon_is_a_config_error(self, kind):
+        model, _, _ = self._scalar()
+        custom = rf.AffineFilter(intercept=np.zeros(self.T), gains=np.eye(self.T)) if kind == "custom" else None
+        with pytest.raises(ConfigError, match="horizon 3, model has 6") as exc:
+            rf.ExperimentConfig(model=model, risk=rf.RiskSpec(mu=-1.0, Q=np.ones(3)), filter_kind=kind,
+                                custom=custom, n_paths=10)
+        assert exc.value.field == "risk.Q"
+
+
+SCALAR_ONLY = {
+    "leg_filter": lambda model, risk, Y, **kw: rf.leg_filter(model, risk, Y, **kw),
+    "z_h": lambda model, risk, Y, **kw: rf.z_h(model, risk, Y, Y, **kw),
+    "z_tilde": lambda model, risk, Y, **kw: rf.z_tilde(model, risk, Y, Y, **kw),
+    "cm_decompose": lambda model, risk, Y, **kw: rf.cm_decompose(model, risk, Y, Y, **kw),
+    "info_state": lambda model, risk, Y, **kw: rf.info_state(model, risk, Y, Y, 1, **kw),
+    "martingale_expectation_check": lambda model, risk, Y: rf.cameron_martin.martingale_expectation_check(
+        model, risk, 8, 3),
+    "exact_martingale_expectation": lambda model, risk, Y: rf.cameron_martin.exact_martingale_expectation(
+        model, risk, rf.AffineFilter(intercept=np.zeros(len(Y)), gains=np.eye(len(Y)))),
+}
+
+
+@pytest.mark.parametrize("call, given", [(call, False) for call in SCALAR_ONLY]
+                         + [(call, True) for call in list(SCALAR_ONLY)[:5]])  # the last two take no solution
+def test_scalar_routines_reject_a_vector_model_before_any_solve(call, given, monkeypatch):
+    T = 5
+    model = rf.build_ar1_noise(0.7, 0.5, 1.0, 0.5, T)
+    risk = rf.RiskSpec(mu=-1.0, Q=np.ones(T))
+    kw = {"solution": rf.solve_volterra_correlated(model, risk)} if given else {}
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("solve_volterra_correlated ran")
+
+    monkeypatch.setattr(rf.volterra, "solve_volterra_correlated", spy)
+    monkeypatch.setattr(rf.filtering, "solve_volterra_correlated", spy)
+    with pytest.raises(DimensionMismatch) as exc:
+        SCALAR_ONLY[call](model, risk, np.zeros(T), **kw)
+    assert str(exc.value) == "operation requires a scalar model, dims are (2, 1)"
+    assert calls == []
+
+
+def test_scalar_solver_rejects_a_cross_table():
+    model = rf.build_vector_model(np.zeros(3), np.eye(3), np.ones(3), K_Xeps=np.diag([0.1, 0.1, 0.1]))
+    assert model.is_scalar and model.cross_cov is not None
+    with pytest.raises(SingularInnovationMatrix, match="independent observation noise"):
+        rf.solve_volterra(model, rf.RiskSpec(mu=-1.0, Q=np.ones(3)))
